@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"medmaker/internal/build"
 	"medmaker/internal/extfn"
@@ -209,9 +210,31 @@ func randomRelations(r *rand.Rand, n int) []*oem.Object {
 	return out
 }
 
+// servedSources serves each source over TCP with Serve and returns the
+// clients DialSource connects to them, closed when the test ends.
+func servedSources(t *testing.T, srcs []Source) []Source {
+	t.Helper()
+	out := make([]Source, len(srcs))
+	for i, src := range srcs {
+		addr, srv, err := Serve(src, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		client, err := DialSource(addr, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { client.Close() })
+		out[i] = client
+	}
+	return out
+}
+
 // TestDifferentialAgainstReference cross-checks the planned execution
 // against the reference evaluator for a matrix of specs, queries, plan
-// options, and random seeds.
+// options, and random seeds, over the sources in process and over the same
+// sources served through the remote wire protocol.
 func TestDifferentialAgainstReference(t *testing.T) {
 	specs := []string{
 		// The paper's MS1.
@@ -275,6 +298,8 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			"xml":    xmlSrc.Export(),
 			"stream": streamSrc.Export(),
 		}
+		local := []Source{csSrc, whoisSrc, xmlSrc, streamSrc}
+		sourceSets := [][]Source{local, servedSources(t, local)}
 		for si, spec := range specs {
 			prog, err := ParseSpec(spec)
 			if err != nil {
@@ -297,32 +322,34 @@ func TestDifferentialAgainstReference(t *testing.T) {
 					continue // unsupported combination (e.g. missing view)
 				}
 				want := canonicalize(referenceEval(t, logical, exports, tbl))
-				for vi, opts := range variants {
-					o := opts
-					med, err := New(Config{
-						Name: "med", Spec: spec,
-						Sources: []Source{csSrc, whoisSrc, xmlSrc, streamSrc},
-						Plan:    &o,
-						// Exhaustive expansion on one variant: the extra
-						// rest-push rules must add no wrong answers.
-						Expand: ExpandOptions{Exhaustive: vi == 1},
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					objs, err := med.Query(q)
-					if err != nil {
-						t.Fatalf("seed=%d spec=%d query=%d variant=%d: %v", seed, si, qi, vi, err)
-					}
-					got := canonicalize(objs)
-					if len(got) != len(want) {
-						t.Fatalf("seed=%d spec=%d query=%d variant=%d: %d objects, reference has %d\nquery: %s\ngot: %v\nwant: %v",
-							seed, si, qi, vi, len(got), len(want), qText, got, want)
-					}
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("seed=%d spec=%d query=%d variant=%d: result %d differs\nquery: %s\ngot:  %s\nwant: %s",
-								seed, si, qi, vi, i, qText, got[i], want[i])
+				for ssi, sources := range sourceSets {
+					for vi, opts := range variants {
+						o := opts
+						med, err := New(Config{
+							Name: "med", Spec: spec,
+							Sources: sources,
+							Plan:    &o,
+							// Exhaustive expansion on one variant: the extra
+							// rest-push rules must add no wrong answers.
+							Expand: ExpandOptions{Exhaustive: vi == 1},
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						objs, err := med.Query(q)
+						if err != nil {
+							t.Fatalf("seed=%d sources=%d spec=%d query=%d variant=%d: %v", seed, ssi, si, qi, vi, err)
+						}
+						got := canonicalize(objs)
+						if len(got) != len(want) {
+							t.Fatalf("seed=%d sources=%d spec=%d query=%d variant=%d: %d objects, reference has %d\nquery: %s\ngot: %v\nwant: %v",
+								seed, ssi, si, qi, vi, len(got), len(want), qText, got, want)
+						}
+						for i := range got {
+							if got[i] != want[i] {
+								t.Fatalf("seed=%d sources=%d spec=%d query=%d variant=%d: result %d differs\nquery: %s\ngot:  %s\nwant: %s",
+									seed, ssi, si, qi, vi, i, qText, got[i], want[i])
+							}
 						}
 					}
 				}

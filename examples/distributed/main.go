@@ -6,7 +6,7 @@
 // registers the served sub-mediator as just another source — wrappers,
 // partitions, and mediators are interchangeable, so tiers stack. Every
 // hop speaks the framed remote protocol: one multiplexed connection per
-// peer, negotiated down to the lockstep protocol for old peers.
+// peer, with OEM answers in the binary answer codec.
 package main
 
 import (
@@ -24,11 +24,7 @@ func dial(addr string) *medmaker.RemoteClient {
 	if err != nil {
 		log.Fatal(err)
 	}
-	proto := "lockstep"
-	if c.Proto() == medmaker.ProtoFramed {
-		proto = "framed (multiplexed)"
-	}
-	fmt.Printf("dialed %-6s at %s  protocol: %s\n", c.Name(), addr, proto)
+	fmt.Printf("dialed %-6s at %s  protocol: framed v%d\n", c.Name(), addr, c.Proto())
 	return c
 }
 

@@ -99,9 +99,12 @@ func (l *lexer) peekN(n int) token {
 }
 
 func (l *lexer) next() token {
-	if len(l.peeked) > 0 {
+	if n := len(l.peeked); n > 0 {
 		t := l.peeked[0]
-		l.peeked = l.peeked[1:]
+		// Shift down in place: reslicing past the head would shrink the
+		// capacity until the next peek reallocates.
+		copy(l.peeked, l.peeked[1:])
+		l.peeked = l.peeked[:n-1]
 		return t
 	}
 	return l.scan()

@@ -95,3 +95,18 @@ func TestFractionValueParses(t *testing.T) {
 		t.Fatalf("fraction constant: %v", op.Value)
 	}
 }
+
+// TestLexerLookaheadAllocs pins the parse cost of the query the mediator
+// ships to cs once per person on a full-view scan. Draining the lookahead
+// used to reslice past its head, so every later peek reallocated it.
+func TestLexerLookaheadAllocs(t *testing.T) {
+	const probe = `_O :- _O:<student {<first_name 'F0000'> <last_name 'L0000'> | Rest2_0_1}>@cs.`
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ParseQuery(probe); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 40 { // 35 measured; 53 before the in-place shift
+		t.Fatalf("%.0f allocs per parse of a cs probe, want at most 40", allocs)
+	}
+}

@@ -16,42 +16,25 @@ import (
 	"medmaker/internal/wrapper"
 )
 
-// Client is a wrapper.Source backed by a remote Server. Against a server
-// that accepts the framed protocol (ProtoFramed), every request travels
-// as an ID-tagged frame on one shared multiplexed connection: concurrent
-// queries (the engine's parallel fan-out) interleave their frames and
-// responses return out of order, each matched back to its caller by ID —
-// no per-burst dialing, one socket per peer. Against an old server the
-// client falls back transparently to the original protocol, keeping a
-// small pool of lockstep connections and redialing as needed. Use Dial
-// to construct one.
+// Client is a wrapper.Source backed by a remote Server. Every request
+// travels as an ID-tagged frame on one shared multiplexed connection:
+// concurrent queries (the engine's parallel fan-out) interleave their
+// frames and responses return out of order, each matched back to its
+// caller by ID — no per-burst dialing, one socket per peer. A connection
+// that dies is redialed and renegotiated on the next request. Use Dial to
+// construct one.
 type Client struct {
 	addr    string
 	timeout time.Duration
 	name    string
 	caps    wrapper.Capabilities
-	proto   atomic.Int32
 
-	mu     sync.Mutex
-	idle   []*clientConn
+	muxMu  sync.Mutex
+	mux    *muxConn
 	closed bool
-
-	muxMu sync.Mutex
-	mux   *muxConn
 
 	frameLog atomic.Pointer[FrameLog]
 }
-
-type clientConn struct {
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-}
-
-// maxIdleConns bounds the unframed fallback pool; additional concurrent
-// queries dial transient connections that are closed when the pool is
-// full.
-const maxIdleConns = 8
 
 var (
 	_ wrapper.Source              = (*Client)(nil)
@@ -68,12 +51,9 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 		timeout = 10 * time.Second
 	}
 	c := &Client{addr: addr, timeout: timeout}
-	resp, err := c.negotiate(context.Background())
+	resp, _, err := c.negotiate(context.Background())
 	if err != nil {
 		return nil, err
-	}
-	if err := respError(addr, resp); err != nil {
-		return nil, err // e.g. ErrServerBusy from a server at capacity
 	}
 	c.name = resp.Name
 	c.caps = resp.Caps
@@ -81,14 +61,14 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 }
 
 // negotiate dials a fresh connection, performs the unframed hello that
-// offers ProtoFramed, and installs the connection per the server's
-// answer: an accepting server's connection becomes the shared mux, an
-// old server's goes to the lockstep pool and the client stays unframed.
-func (c *Client) negotiate(ctx context.Context) (Response, error) {
+// offers ProtoFramed, and installs the connection as the client's shared
+// mux. A refusal — a busy server, or one of another protocol version —
+// is an error and leaves no connection behind.
+func (c *Client) negotiate(ctx context.Context) (Response, *muxConn, error) {
 	d := net.Dialer{Timeout: c.timeout}
 	conn, err := d.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
-		return Response{}, fmt.Errorf("remote: dial %s: %w", c.addr, err)
+		return Response{}, nil, fmt.Errorf("remote: dial %s: %w", c.addr, err)
 	}
 	enc := gob.NewEncoder(conn)
 	dec := gob.NewDecoder(conn)
@@ -100,38 +80,39 @@ func (c *Client) negotiate(ctx context.Context) (Response, error) {
 	}
 	if err != nil {
 		conn.Close()
-		return Response{}, fmt.Errorf("remote: %s: %w", c.addr, err)
+		return Response{}, nil, fmt.Errorf("remote: %s: hello: %w", c.addr, err)
+	}
+	if err := respError(c.addr, resp); err != nil {
+		conn.Close()
+		return Response{}, nil, err
+	}
+	if resp.Proto != ProtoFramed {
+		conn.Close()
+		return Response{}, nil, fmt.Errorf("remote: %s: server speaks protocol %d, client speaks %d",
+			c.addr, resp.Proto, ProtoFramed)
 	}
 	conn.SetDeadline(time.Time{})
-	if err := respError(c.addr, resp); err != nil {
-		conn.Close() // a refusal (busy) leaves no usable connection
-		return resp, nil
-	}
-	if resp.Proto >= ProtoFramed {
-		c.proto.Store(ProtoFramed)
-		m := newMuxConn(conn, enc, dec, c.timeout, &c.frameLog)
-		c.muxMu.Lock()
-		old := c.mux
+	m := newMuxConn(conn, enc, dec, c.timeout, &c.frameLog)
+	c.muxMu.Lock()
+	old, closed := c.mux, c.closed
+	if !closed {
 		c.mux = m
-		closed := c.closed
-		c.muxMu.Unlock()
-		if old != nil {
-			old.fail(errors.New("remote: connection replaced"))
-		}
-		if closed {
-			m.fail(errors.New("remote: client closed"))
-		}
-		return resp, nil
 	}
-	c.proto.Store(ProtoUnframed)
-	c.release(&clientConn{conn: conn, enc: enc, dec: dec})
-	return resp, nil
+	c.muxMu.Unlock()
+	if old != nil {
+		old.fail(errors.New("remote: connection replaced"))
+	}
+	if closed {
+		m.fail(errors.New("remote: client closed"))
+		return Response{}, nil, fmt.Errorf("remote: %s: client closed", c.addr)
+	}
+	return resp, m, nil
 }
 
-// Proto reports the negotiated protocol version: ProtoFramed when the
-// server accepted multiplexing, ProtoUnframed when the client fell back
-// to the lockstep protocol.
-func (c *Client) Proto() int { return int(c.proto.Load()) }
+// Proto reports the negotiated protocol version. A client that dialed
+// successfully always speaks ProtoFramed: peers of other versions fail in
+// Dial.
+func (c *Client) Proto() int { return ProtoFramed }
 
 // Name implements wrapper.Source.
 func (c *Client) Name() string { return c.name }
@@ -158,15 +139,7 @@ func (c *Client) QueryContext(ctx context.Context, q *msl.Rule) ([]*oem.Object, 
 	if err := respError(c.name, resp); err != nil {
 		return nil, err
 	}
-	out := make([]*oem.Object, len(resp.Objects))
-	for i, w := range resp.Objects {
-		obj, err := FromWire(w)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = obj
-	}
-	return out, nil
+	return resp.Objects, nil
 }
 
 // QueryBatch implements wrapper.BatchQuerier: several queries travel in
@@ -196,19 +169,7 @@ func (c *Client) QueryBatchContext(ctx context.Context, qs []*msl.Rule) ([][]*oe
 		return nil, fmt.Errorf("remote: %s: batch answer carries %d result sets for %d queries",
 			c.name, len(resp.Batches), len(qs))
 	}
-	out := make([][]*oem.Object, len(resp.Batches))
-	for i, batch := range resp.Batches {
-		objs := make([]*oem.Object, len(batch))
-		for j, w := range batch {
-			obj, err := FromWire(w)
-			if err != nil {
-				return nil, err
-			}
-			objs[j] = obj
-		}
-		out[i] = objs
-	}
-	return out, nil
+	return resp.Batches, nil
 }
 
 // Metrics scrapes the server process's metrics registry: request counts
@@ -271,61 +232,21 @@ func respError(name string, resp Response) error {
 	return fmt.Errorf("remote: %s: %s", name, resp.Err)
 }
 
-// Close tears down the multiplexed connection (in-flight frames fail)
-// and all pooled connections; in-flight unframed queries finish on their
-// own connections.
+// Close tears down the multiplexed connection; in-flight requests fail.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	c.closed = true
-	var first error
-	for _, cc := range c.idle {
-		if err := cc.conn.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	c.idle = nil
-	c.mu.Unlock()
 	c.muxMu.Lock()
+	c.closed = true
 	m := c.mux
 	c.mux = nil
 	c.muxMu.Unlock()
 	if m != nil {
 		m.fail(errors.New("remote: client closed"))
 	}
-	return first
+	return nil
 }
 
-func (c *Client) acquire(ctx context.Context) (*clientConn, error) {
-	c.mu.Lock()
-	if n := len(c.idle); n > 0 {
-		cc := c.idle[n-1]
-		c.idle = c.idle[:n-1]
-		c.mu.Unlock()
-		return cc, nil
-	}
-	c.mu.Unlock()
-	d := net.Dialer{Timeout: c.timeout}
-	conn, err := d.DialContext(ctx, "tcp", c.addr)
-	if err != nil {
-		return nil, fmt.Errorf("remote: dial %s: %w", c.addr, err)
-	}
-	return &clientConn{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}, nil
-}
-
-func (c *Client) release(cc *clientConn) {
-	c.mu.Lock()
-	if !c.closed && len(c.idle) < maxIdleConns {
-		c.idle = append(c.idle, cc)
-		c.mu.Unlock()
-		return
-	}
-	c.mu.Unlock()
-	cc.conn.Close()
-}
-
-// roundTrip sends one request and reads its response, bounded by ctx: as
-// a frame on the shared multiplexed connection when the server accepted
-// framing, in lockstep on a pooled connection otherwise. A request that
+// roundTrip sends one request as a frame on the shared multiplexed
+// connection and waits for its response, bounded by ctx. A request that
 // failed before its response started arriving is retried once on a fresh
 // connection (the server may have restarted); a request cancelled or
 // timed out by ctx is not retried and surfaces ctx's error.
@@ -352,10 +273,7 @@ func (c *Client) roundTrip(ctx context.Context, req Request) (Response, error) {
 			req.TimeoutMillis = 1
 		}
 	}
-	if c.proto.Load() >= ProtoFramed {
-		return c.muxRoundTrip(ctx, req, deadline)
-	}
-	return c.lockstepRoundTrip(ctx, req, deadline)
+	return c.muxRoundTrip(ctx, req, deadline)
 }
 
 // muxRoundTrip performs one exchange on the shared framed connection.
@@ -371,11 +289,6 @@ func (c *Client) muxRoundTrip(ctx context.Context, req Request, deadline time.Ti
 		m, err := c.muxGet(ctx)
 		if err != nil {
 			return Response{}, err
-		}
-		if m == nil {
-			// The server stopped speaking framed (e.g. restarted with
-			// framing disabled); negotiate already flipped the protocol.
-			return c.lockstepRoundTrip(ctx, req, deadline)
 		}
 		id, ch, err := m.send(req)
 		if err != nil {
@@ -415,8 +328,7 @@ func (c *Client) muxRoundTrip(ctx context.Context, req Request, deadline time.Ti
 }
 
 // muxGet returns the live multiplexed connection, redialing and
-// re-negotiating if the previous one died. A nil muxConn with nil error
-// means the server downgraded the client to the unframed protocol.
+// re-negotiating if the previous one died.
 func (c *Client) muxGet(ctx context.Context) (*muxConn, error) {
 	c.muxMu.Lock()
 	if c.closed {
@@ -428,23 +340,8 @@ func (c *Client) muxGet(ctx context.Context) (*muxConn, error) {
 		return m, nil
 	}
 	c.muxMu.Unlock()
-	resp, err := c.negotiate(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if err := respError(c.name, resp); err != nil {
-		return nil, err
-	}
-	if c.proto.Load() < ProtoFramed {
-		return nil, nil
-	}
-	c.muxMu.Lock()
-	m := c.mux
-	c.muxMu.Unlock()
-	if m == nil {
-		return nil, fmt.Errorf("remote: %s: client closed", c.addr)
-	}
-	return m, nil
+	_, m, err := c.negotiate(ctx)
+	return m, err
 }
 
 // muxDrop kills m and detaches it if it is still the client's current
@@ -456,72 +353,4 @@ func (c *Client) muxDrop(m *muxConn) {
 		c.mux = nil
 	}
 	c.muxMu.Unlock()
-}
-
-// lockstepRoundTrip is the original protocol: one request then one
-// response on a pooled connection, retried once on a broken conn.
-func (c *Client) lockstepRoundTrip(ctx context.Context, req Request, deadline time.Time) (Response, error) {
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return Response{}, err
-		}
-		cc, err := c.acquire(ctx)
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return Response{}, cerr
-			}
-			return Response{}, err
-		}
-		resp, err := cc.exchange(ctx, req, deadline)
-		if err == nil {
-			c.release(cc)
-			return resp, nil
-		}
-		cc.conn.Close()
-		if cerr := ctx.Err(); cerr != nil {
-			return Response{}, cerr
-		}
-		if attempt >= 1 {
-			return Response{}, fmt.Errorf("remote: %s: %w", c.addr, err)
-		}
-		// Drop every pooled connection: if ours broke, the rest are
-		// probably stale too.
-		c.mu.Lock()
-		for _, stale := range c.idle {
-			stale.conn.Close()
-		}
-		c.idle = nil
-		c.mu.Unlock()
-	}
-}
-
-// exchange performs one request/response on the connection under the
-// deadline, unblocking early if ctx is cancelled mid-flight: a watcher
-// goroutine forces the connection's deadline into the past, which makes
-// the pending read or write fail immediately. The caller must treat any
-// error as fatal to the connection (the encoder/decoder streams are not
-// resumable after a deadline pop).
-func (cc *clientConn) exchange(ctx context.Context, req Request, deadline time.Time) (Response, error) {
-	cc.conn.SetDeadline(deadline)
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				cc.conn.SetDeadline(time.Unix(1, 0))
-			case <-watchDone:
-			}
-		}()
-	}
-	var resp Response
-	err := cc.enc.Encode(req)
-	if err == nil {
-		err = cc.dec.Decode(&resp)
-	}
-	if err != nil {
-		return Response{}, err
-	}
-	cc.conn.SetDeadline(time.Time{})
-	return resp, nil
 }

@@ -2,8 +2,10 @@ package remote
 
 import (
 	"context"
+	"encoding/gob"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -72,31 +74,50 @@ func TestFramedNegotiation(t *testing.T) {
 	}
 }
 
-func TestUnframedFallback(t *testing.T) {
-	srv := NewServer(whoisSource(t))
-	srv.DisableFraming = true
-	addr, err := srv.Start("127.0.0.1:0")
+// TestVersionMismatchFailsAtHello: a peer of another protocol version is
+// refused at the hello, in both directions, instead of failing mid-stream.
+func TestVersionMismatchFailsAtHello(t *testing.T) {
+	addr, _ := startServer(t, whoisSource(t))
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
-	client, err := Dial(addr, time.Second)
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(2 * time.Second))
+	if err := gob.NewEncoder(conn).Encode(Request{Kind: reqHello, Proto: ProtoFramed - 1}); err != nil {
+		t.Fatal(err)
+	}
+	var resp Response
+	if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Proto == ProtoFramed || !strings.Contains(resp.Err, "protocol") {
+		t.Fatalf("old-version hello answered %+v, want a protocol refusal", resp)
+	}
+
+	// A server that answers the hello with another version.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
-	if client.Proto() != ProtoUnframed {
-		t.Fatalf("old server negotiated proto %d, want unframed (%d)", client.Proto(), ProtoUnframed)
-	}
-	q := msl.MustParseRule(`<out N> :- <person {<name N>}>@whois.`)
-	for i := 0; i < 3; i++ {
-		got, err := client.Query(q)
+	defer ln.Close()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		c, err := ln.Accept()
 		if err != nil {
-			t.Fatal(err)
+			return
 		}
-		if len(got) != 2 {
-			t.Fatalf("lockstep query returned %d objects", len(got))
+		defer c.Close()
+		var req Request
+		if gob.NewDecoder(c).Decode(&req) == nil {
+			gob.NewEncoder(c).Encode(Response{Name: "old", Proto: ProtoFramed - 1})
 		}
+	}()
+	_, err = Dial(ln.Addr().String(), 2*time.Second)
+	<-served
+	if err == nil || !strings.Contains(err.Error(), "protocol") {
+		t.Fatalf("dial to an old-version server: err = %v, want a protocol error", err)
 	}
 }
 

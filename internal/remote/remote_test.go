@@ -6,11 +6,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"medmaker/internal/msl"
-	"medmaker/internal/oem"
 	"medmaker/internal/oemstore"
 	"medmaker/internal/wrapper"
 )
@@ -35,46 +33,6 @@ func whoisSource(t *testing.T) wrapper.Source {
 		t.Fatal(err)
 	}
 	return src
-}
-
-func TestWireRoundTrip(t *testing.T) {
-	objs := oem.MustParse(`
-	<&p1, person, set, {&n1, &y1, &f1, &b1, &x1, &e1}>
-	  <&n1, name, string, 'Joe'>
-	  <&y1, year, integer, 3>
-	  <&f1, gpa, real, 3.5>
-	  <&b1, active, boolean, true>
-	  <&x1, blob, bytes, 0xdead>
-	  <&e1, empty, set, {}>
-	;`)
-	w := ToWire(objs[0])
-	back, err := FromWire(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.StructuralEqual(objs[0]) {
-		t.Fatalf("wire round trip changed the object:\n%s", oem.Format(back))
-	}
-	if back.OID != objs[0].OID {
-		t.Fatal("oid lost on the wire")
-	}
-	if _, err := FromWire(WireObject{Label: "x", Kind: 99}); err == nil {
-		t.Fatal("bad kind accepted")
-	}
-}
-
-func TestPropWireRoundTrip(t *testing.T) {
-	f := func(label string, n int64, s string) bool {
-		if label == "" {
-			label = "x"
-		}
-		obj := oem.NewSet("&a", label, oem.New("&b", "n", n), oem.New("&c", "s", s))
-		back, err := FromWire(ToWire(obj))
-		return err == nil && back.StructuralEqual(obj)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestHandshakeAndQuery(t *testing.T) {

@@ -22,8 +22,8 @@ type Server struct {
 
 	// IdleTimeout bounds how long an accepted connection may sit between
 	// requests before the server closes it (0 = DefaultIdleTimeout; <0 =
-	// no bound). Clients pool connections and redial transparently, so
-	// reclaiming an idle one is invisible to them.
+	// no bound). Clients redial transparently, so reclaiming an idle
+	// connection is invisible to them.
 	IdleTimeout time.Duration
 	// WriteTimeout bounds writing one response (0 = DefaultWriteTimeout;
 	// <0 = no bound). It protects handler goroutines from a client that
@@ -42,12 +42,6 @@ type Server struct {
 	// queueing. 0 means DefaultMaxConns; negative means unlimited. Set it
 	// before Start.
 	MaxConns int
-	// DisableFraming refuses the framed-protocol upgrade: hello responses
-	// omit the accepted version and every connection stays in the original
-	// one-request-at-a-time protocol. It exists to exercise (and to force,
-	// should framing ever misbehave in a deployment) the compatibility
-	// path new clients take against old servers. Set it before Start.
-	DisableFraming bool
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -139,7 +133,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 				s.mu.Unlock()
 				conn.Close()
 			}()
-			s.handle(conn)
+			s.ServeConn(conn)
 		}()
 	}
 }
@@ -154,8 +148,21 @@ func (s *Server) refuse(conn net.Conn) {
 	if write := pickTimeout(s.WriteTimeout, DefaultWriteTimeout); write > 0 {
 		conn.SetWriteDeadline(time.Now().Add(write))
 	}
-	gob.NewEncoder(conn).Encode(Response{Err: busyMessage, Busy: true})
+	if gob.NewEncoder(conn).Encode(Response{Err: busyMessage, Busy: true}) != nil {
+		return
+	}
+	// Closing with the client's hello unread would reset the connection,
+	// and the reset can reach the client before the refusal does. Half-close
+	// instead and drain until the client hangs up (or the linger ends).
+	if tc, ok := conn.(*net.TCPConn); ok {
+		tc.CloseWrite()
+	}
+	conn.SetReadDeadline(time.Now().Add(refuseLinger))
+	io.Copy(io.Discard, conn)
 }
+
+// refuseLinger bounds how long a refused connection is drained.
+const refuseLinger = time.Second
 
 // Close stops accepting, closes live connections, and waits for handlers.
 func (s *Server) Close() error {
@@ -174,46 +181,50 @@ func (s *Server) Close() error {
 	return err
 }
 
-func (s *Server) handle(conn net.Conn) {
-	idle := pickTimeout(s.IdleTimeout, DefaultIdleTimeout)
-	write := pickTimeout(s.WriteTimeout, DefaultWriteTimeout)
+// ServeConn handles a single pre-established connection until it closes —
+// useful for in-memory pipes in tests. Deadlines and idle reclamation
+// apply only when conn supports them (a net.Conn does, an in-memory pipe
+// may not).
+func (s *Server) ServeConn(conn io.ReadWriter) {
 	dec := gob.NewDecoder(conn)
 	enc := gob.NewEncoder(conn)
-	for {
-		// The read deadline doubles as the idle bound: a connection that
-		// sends nothing for IdleTimeout is reclaimed. It is cleared while
-		// the request evaluates (evaluation time is the client's budget,
-		// carried in the request, not the transport's).
-		if idle > 0 {
-			conn.SetReadDeadline(time.Now().Add(idle))
-		}
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			return // disconnected, idle-expired, or malformed stream
-		}
-		conn.SetReadDeadline(time.Time{})
-		resp := s.dispatch(req)
-		if s.upgrades(req) {
-			resp.Proto = ProtoFramed
-		}
-		if write > 0 {
-			conn.SetWriteDeadline(time.Now().Add(write))
-		}
-		if err := enc.Encode(resp); err != nil {
-			return
-		}
-		conn.SetWriteDeadline(time.Time{})
-		if resp.Proto >= ProtoFramed {
-			s.handleFramed(conn, dec, enc)
-			return
-		}
+	if s.hello(conn, dec, enc) {
+		s.handleFramed(conn, dec, enc)
 	}
 }
 
-// upgrades reports whether req is a hello offering a protocol this
-// server accepts an upgrade to.
-func (s *Server) upgrades(req Request) bool {
-	return req.Kind == reqHello && req.Proto >= ProtoFramed && !s.DisableFraming
+// hello answers the connection's opening request, which must be a hello
+// offering ProtoFramed, and reports whether the connection may go on to
+// framed traffic. Any other opening is answered with an error, so a peer
+// of another protocol version fails at the hello rather than mid-stream.
+func (s *Server) hello(conn io.ReadWriter, dec *gob.Decoder, enc *gob.Encoder) bool {
+	rd, hasReadDeadline := conn.(interface{ SetReadDeadline(time.Time) error })
+	wd, hasWriteDeadline := conn.(interface{ SetWriteDeadline(time.Time) error })
+	if idle := pickTimeout(s.IdleTimeout, DefaultIdleTimeout); idle > 0 && hasReadDeadline {
+		rd.SetReadDeadline(time.Now().Add(idle))
+	}
+	var req Request
+	if err := dec.Decode(&req); err != nil {
+		return false // disconnected, idle-expired, or malformed stream
+	}
+	if hasReadDeadline {
+		rd.SetReadDeadline(time.Time{})
+	}
+	var resp Response
+	switch {
+	case req.Kind != reqHello:
+		resp.Err = fmt.Sprintf("remote: connection opened with %q, want a hello", req.Kind)
+	case req.Proto != ProtoFramed:
+		resp.Err = fmt.Sprintf("remote: client speaks protocol %d, server speaks %d", req.Proto, ProtoFramed)
+	default:
+		resp = s.dispatch(req)
+		resp.Proto = ProtoFramed
+	}
+	if write := pickTimeout(s.WriteTimeout, DefaultWriteTimeout); write > 0 && hasWriteDeadline {
+		wd.SetWriteDeadline(time.Now().Add(write))
+		defer wd.SetWriteDeadline(time.Time{})
+	}
+	return enc.Encode(resp) == nil && resp.Proto == ProtoFramed
 }
 
 // maxInflightFrames bounds the evaluation goroutines one framed
@@ -279,14 +290,16 @@ func (s *Server) handleFramed(conn io.ReadWriter, dec *gob.Decoder, enc *gob.Enc
 			defer wg.Done()
 			defer func() { <-sem }()
 			resp := s.dispatch(f.Req)
-			if s.upgrades(f.Req) {
-				resp.Proto = ProtoFramed // hello mid-stream: already framed
-			}
 			writeMu.Lock()
 			if write > 0 && hasWriteDeadline {
 				wd.SetWriteDeadline(time.Now().Add(write))
 			}
 			err := enc.Encode(respFrame{ID: f.ID, Resp: resp})
+			if errors.Is(err, errCodec) {
+				// The answers could not be encoded (nothing was written):
+				// the request fails, the connection stays.
+				err = enc.Encode(respFrame{ID: f.ID, Resp: Response{Err: err.Error()}})
+			}
 			if err == nil && write > 0 && hasWriteDeadline {
 				wd.SetWriteDeadline(time.Time{})
 			}
@@ -384,11 +397,7 @@ func (s *Server) dispatchKind(req Request) Response {
 			}
 			return resp
 		}
-		out := make([]WireObject, len(objs))
-		for i, o := range objs {
-			out[i] = ToWire(o)
-		}
-		return Response{Objects: out}
+		return Response{Objects: objs}
 	case reqBatch:
 		// One exchange carrying several queries — the server side of
 		// wrapper.BatchQuerier. The inner source answers them in one call
@@ -413,40 +422,7 @@ func (s *Server) dispatchKind(req Request) Response {
 			}
 			return resp
 		}
-		batches := make([][]WireObject, len(results))
-		for i, objs := range results {
-			batches[i] = make([]WireObject, len(objs))
-			for j, o := range objs {
-				batches[i][j] = ToWire(o)
-			}
-		}
-		return Response{Batches: batches}
+		return Response{Batches: results}
 	}
 	return Response{Err: fmt.Sprintf("remote: unknown request kind %q", req.Kind)}
-}
-
-// ServeConn handles a single pre-established connection until it closes —
-// useful for in-memory pipes in tests. It negotiates framing like an
-// accepted connection does; deadlines and idle reclamation apply only
-// when conn supports them (a net.Conn does, an in-memory pipe may not).
-func (s *Server) ServeConn(conn io.ReadWriter) {
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	for {
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		resp := s.dispatch(req)
-		if s.upgrades(req) {
-			resp.Proto = ProtoFramed
-		}
-		if err := enc.Encode(resp); err != nil {
-			return
-		}
-		if resp.Proto >= ProtoFramed {
-			s.handleFramed(conn, dec, enc)
-			return
-		}
-	}
 }

@@ -3,22 +3,20 @@
 // mediator process talks to wrapper processes over the network, shipping
 // MSL queries one way and OEM objects the other.
 //
-// The protocol is a length-free gob stream per connection. It opens with
-// an unframed handshake (a hello Request answered by name and
-// capabilities) that also negotiates a protocol version: when both ends
-// speak ProtoFramed the connection upgrades to multiplexed framing —
-// every subsequent message carries a frame ID, the client pipelines
-// concurrent requests on the one shared connection, and the server
-// answers them out of order as each finishes. Old peers on either side
-// simply never offer (or never accept) the upgrade and the connection
-// stays in the original one-request-at-a-time form. Servers handle each
-// connection in its own goroutine; a Client is itself a wrapper.Source,
-// so remote and in-process sources are interchangeable to the mediator.
+// The protocol is a gob stream per connection. It opens with an unframed
+// handshake (a hello Request answered by name and capabilities) in which
+// the client offers its protocol version; a server speaking the same
+// version accepts, and every later message carries a frame ID — the client
+// pipelines concurrent requests on the one shared connection and the
+// server answers them out of order as each finishes. Peers of different
+// versions fail at the hello. Gob frames each message's envelope; the OEM
+// answers inside travel in a hand-written binary codec (see Answers).
+// Servers handle each connection in its own goroutine; a Client is itself
+// a wrapper.Source, so remote and in-process sources are interchangeable
+// to the mediator.
 package remote
 
 import (
-	"fmt"
-
 	"medmaker/internal/metrics"
 	"medmaker/internal/oem"
 	"medmaker/internal/wrapper"
@@ -33,18 +31,14 @@ const (
 	reqMetrics = "metrics" // scrape the server's metrics registry
 )
 
-// Protocol versions negotiated in the hello exchange. The hello itself
-// always travels unframed, so any client can talk to any server; what is
-// negotiated is the rest of the connection's life.
-const (
-	// ProtoUnframed is the original protocol: one request, then one
-	// response, in lockstep per connection.
-	ProtoUnframed = 1
-	// ProtoFramed multiplexes: after the hello, every message is a frame
-	// carrying an ID, requests may be pipelined, and responses return in
-	// completion order — one shared connection serves concurrent callers.
-	ProtoFramed = 2
-)
+// ProtoFramed is the protocol version negotiated in the hello exchange:
+// after the unframed hello, every message is a frame carrying an ID,
+// requests may be pipelined, and responses return in completion order —
+// one shared connection serves concurrent callers. Version 1 was an
+// unframed lockstep protocol and version 2 carried answers as gob-reflected
+// object trees; neither is spoken any more, and a peer offering or
+// accepting anything but ProtoFramed is refused at the hello.
+const ProtoFramed = 3
 
 // Request is one client→server message.
 type Request struct {
@@ -55,13 +49,9 @@ type Request struct {
 	// TimeoutMillis, when positive, is the client's remaining deadline
 	// budget for this request; the server bounds its own evaluation by it
 	// so work whose answer the client will discard is abandoned early.
-	// Zero means no client deadline. (Gob tolerates the field's absence,
-	// so old clients and servers interoperate with new ones.)
+	// Zero means no client deadline.
 	TimeoutMillis int64
-	// Proto, on a hello, is the newest protocol version the client
-	// speaks. Gob omits the zero field and ignores unknown fields, so an
-	// old server never sees it and an old client never sends it — both
-	// land on ProtoUnframed.
+	// Proto, on a hello, is the protocol version the client speaks.
 	Proto int
 }
 
@@ -85,10 +75,10 @@ type Response struct {
 	Name string
 	Caps wrapper.Capabilities
 	// Objects answer a query.
-	Objects []WireObject
+	Objects Answers
 	// Batches answer a batch request, one result set per query, in
 	// request order.
-	Batches [][]WireObject
+	Batches AnswerBatches
 	// Count and CountOK answer a count request (CountOK is false when
 	// the remote source cannot count cheaply).
 	Count   int
@@ -112,78 +102,24 @@ type Response struct {
 	// error the client's own deadline would have produced had it popped
 	// first.
 	CtxErr string
-	// Proto, on a hello response, is the protocol version the server
-	// selected for the rest of the connection: ProtoFramed accepts the
-	// client's offer to multiplex, absent (0, from old servers or a
-	// server with framing disabled) keeps the connection unframed.
+	// Proto, on a hello response, is ProtoFramed when the server accepted
+	// the client's version; a refused hello carries Err instead.
 	Proto int
 }
 
-// WireObject is the gob-encodable form of an OEM object. Interface-typed
-// values do not gob-encode without global registration, so the value is
-// flattened into kind-tagged fields.
-type WireObject struct {
-	OID   string
-	Label string
-	Kind  int
-	Str   string
-	Int   int64
-	Float float64
-	Bool  bool
-	Bytes []byte
-	Subs  []WireObject
-}
+// WireObject is what an answer object is on the wire: the object itself,
+// encoded by the answer codec (see Answers).
+//
+// Deprecated: kept for callers of the former gob-reflected form; use
+// *oem.Object.
+type WireObject = *oem.Object
 
-// ToWire converts an OEM object tree.
-func ToWire(o *oem.Object) WireObject {
-	w := WireObject{OID: string(o.OID), Label: o.Label, Kind: int(o.Kind())}
-	switch v := o.Value.(type) {
-	case oem.String:
-		w.Str = string(v)
-	case oem.Int:
-		w.Int = int64(v)
-	case oem.Float:
-		w.Float = float64(v)
-	case oem.Bool:
-		w.Bool = bool(v)
-	case oem.Bytes:
-		w.Bytes = []byte(v)
-	case oem.Set:
-		w.Subs = make([]WireObject, len(v))
-		for i, sub := range v {
-			w.Subs[i] = ToWire(sub)
-		}
-	case nil:
-	}
-	return w
-}
+// ToWire returns o unchanged.
+//
+// Deprecated: answers cross the wire as *oem.Object; see Answers.
+func ToWire(o *oem.Object) WireObject { return o }
 
-// FromWire converts back to an OEM object.
-func FromWire(w WireObject) (*oem.Object, error) {
-	o := &oem.Object{OID: oem.OID(w.OID), Label: w.Label}
-	switch oem.Kind(w.Kind) {
-	case oem.KindString:
-		o.Value = oem.String(w.Str)
-	case oem.KindInt:
-		o.Value = oem.Int(w.Int)
-	case oem.KindFloat:
-		o.Value = oem.Float(w.Float)
-	case oem.KindBool:
-		o.Value = oem.Bool(w.Bool)
-	case oem.KindBytes:
-		o.Value = oem.Bytes(w.Bytes)
-	case oem.KindSet:
-		subs := make(oem.Set, len(w.Subs))
-		for i, sw := range w.Subs {
-			sub, err := FromWire(sw)
-			if err != nil {
-				return nil, err
-			}
-			subs[i] = sub
-		}
-		o.Value = subs
-	default:
-		return nil, fmt.Errorf("remote: unknown value kind %d for %q", w.Kind, w.Label)
-	}
-	return o, nil
-}
+// FromWire returns w unchanged.
+//
+// Deprecated: answers cross the wire as *oem.Object; see Answers.
+func FromWire(w WireObject) (*oem.Object, error) { return w, nil }

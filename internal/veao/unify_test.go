@@ -137,7 +137,7 @@ func TestObjVarConditionAndOtherConjunct(t *testing.T) {
 	if _, ok := r.Head[0].(*msl.ObjectPattern); !ok {
 		t.Fatalf("X should be defined: %v", r.Head[0])
 	}
-	if v, ok := r.Head[1].(*msl.Var); !ok || !strings.HasPrefix(v.Name, "q") {
+	if v, ok := r.Head[1].(*msl.Var); !ok || !strings.HasSuffix(v.Name, "_q") {
 		t.Fatalf("Y should remain a variable: %v", r.Head[1])
 	}
 }

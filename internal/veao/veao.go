@@ -96,8 +96,11 @@ func (e *Expander) Expand(query *msl.Rule) (*Program, error) {
 // multiplies by the rule count), so the recursion checks the context at
 // every step and aborts with ctx's error once it ends.
 func (e *Expander) ExpandContext(ctx context.Context, query *msl.Rule) (*Program, error) {
-	// Rename the query apart from every specification rule.
-	q := query.RenameVars(func(s string) string { return "q" + s })
+	// Rename the query apart from every specification rule, whose renamed
+	// variables end in numeric suffixes. A suffix, not a prefix: a renamed
+	// variable still lexes as one when a pushed-down query is printed for
+	// a remote source ("qE" would come back as the label 'qE').
+	q := query.RenameVars(func(s string) string { return s + "_q" })
 	rules, err := e.expandRule(ctx, q, 0)
 	if err != nil {
 		return nil, err

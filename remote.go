@@ -13,12 +13,10 @@ type RemoteServer = remote.Server
 // RemoteClient is a Source backed by a RemoteServer elsewhere.
 type RemoteClient = remote.Client
 
-// Wire protocol versions a RemoteClient can negotiate; RemoteClient.Proto
-// reports which one a connection settled on.
-const (
-	ProtoUnframed = remote.ProtoUnframed // one request in flight per connection
-	ProtoFramed   = remote.ProtoFramed   // multiplexed frames on one connection
-)
+// ProtoFramed is the wire protocol version RemoteClient.Proto reports:
+// multiplexed frames on one connection, answers in the OEM answer codec.
+// Peers of other versions fail at the handshake.
+const ProtoFramed = remote.ProtoFramed
 
 // Serve starts serving src on addr (use "127.0.0.1:0" for an ephemeral
 // port) and returns the bound address and the running server.
