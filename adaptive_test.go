@@ -37,30 +37,26 @@ func TestAdaptiveOrderInvariance(t *testing.T) {
 	}
 	xmlSrc, streamSrc := heteroSources(t, people)
 	modes := []OrderMode{OrderHeuristic, OrderReversed, OrderStats, OrderAdaptive}
-	execs := []struct {
-		par      int
-		pipeline bool
-	}{{1, false}, {4, false}, {4, true}}
 	for si, spec := range specs {
-		mk := func(order OrderMode, par int, pipeline bool) *Mediator {
+		mk := func(order OrderMode, ex execMode) *Mediator {
 			opts := DefaultPlanOptions()
 			opts.Order = order
 			med, err := New(Config{
 				Name: "med", Spec: spec,
 				Sources:     []Source{csSrc, whoisSrc, xmlSrc, streamSrc},
 				Plan:        &opts,
-				Parallelism: par,
-				Pipeline:    pipeline,
+				Parallelism: ex.parallel,
+				QueryBatch:  ex.batch,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return med
 		}
-		baseline := mk(OrderHeuristic, 1, false)
+		baseline := mk(OrderHeuristic, engineModes[0])
 		for _, mode := range modes {
-			for _, ex := range execs {
-				med := mk(mode, ex.par, ex.pipeline)
+			for _, ex := range engineModes {
+				med := mk(mode, ex)
 				// One mediator answers the whole query list, so later
 				// queries plan against statistics the earlier ones taught
 				// it — the adaptive path is exercised warm, not just cold.
@@ -77,22 +73,22 @@ func TestAdaptiveOrderInvariance(t *testing.T) {
 					// Cold pass, traced so actual cardinalities feed back.
 					res, _, err := med.QueryTraced(context.Background(), q)
 					if err != nil {
-						t.Fatalf("spec=%d query=%d mode=%v par=%d pipeline=%v cold: %v",
-							si, qi, mode, ex.par, ex.pipeline, err)
+						t.Fatalf("spec=%d query=%d mode=%v exec=%s cold: %v",
+							si, qi, mode, ex.name, err)
 					}
 					if got := canonicalize(res.Objects); !reflect.DeepEqual(got, wantC) {
-						t.Fatalf("spec=%d query=%d mode=%v par=%d pipeline=%v cold: answers diverge\n%v\nvs\n%v",
-							si, qi, mode, ex.par, ex.pipeline, got, wantC)
+						t.Fatalf("spec=%d query=%d mode=%v exec=%s cold: answers diverge\n%v\nvs\n%v",
+							si, qi, mode, ex.name, got, wantC)
 					}
 					// Warm pass: replanned with learned statistics.
 					warm, err := med.QueryString(qText)
 					if err != nil {
-						t.Fatalf("spec=%d query=%d mode=%v par=%d pipeline=%v warm: %v",
-							si, qi, mode, ex.par, ex.pipeline, err)
+						t.Fatalf("spec=%d query=%d mode=%v exec=%s warm: %v",
+							si, qi, mode, ex.name, err)
 					}
 					if got := canonicalize(warm); !reflect.DeepEqual(got, wantC) {
-						t.Fatalf("spec=%d query=%d mode=%v par=%d pipeline=%v warm: answers diverge\n%v\nvs\n%v",
-							si, qi, mode, ex.par, ex.pipeline, got, wantC)
+						t.Fatalf("spec=%d query=%d mode=%v exec=%s warm: answers diverge\n%v\nvs\n%v",
+							si, qi, mode, ex.name, got, wantC)
 					}
 				}
 			}

@@ -55,9 +55,9 @@ func main() {
 	figures := flag.Bool("figures", false, "emit only the structural figure artifacts")
 	perf := flag.Bool("perf", false, "emit only the measured comparisons")
 	reps := flag.Int("reps", 20, "timing repetitions per measurement (median reported)")
-	snapshot := flag.String("snapshot", "", "write a JSON snapshot of the executor measurements (batching, caching, pipelining) to this file and exit")
+	snapshot := flag.String("snapshot", "", "write a JSON snapshot of the executor measurements (batching, caching) to this file and exit")
 	matviewOut := flag.String("matview", "", "write a JSON snapshot of the materialized-view measurements (live vs cold vs warm) to this file and exit")
-	parallelOut := flag.String("parallel", "", "write a JSON snapshot of the columnar/morsel executor measurements (BENCH_1's E-BATCH and E-PIPE rows at parallelism 1 and GOMAXPROCS) to this file and exit")
+	parallelOut := flag.String("parallel", "", "write a JSON snapshot of the columnar/morsel executor measurements (BENCH_1's E-BATCH rows at parallelism 1 and GOMAXPROCS) to this file and exit")
 	traceJSON := flag.String("trace-json", "", "run the paper's Q1 under EXPLAIN ANALYZE and write the structured trace (phases, per-node rows, source latency) as JSON to this file, then exit")
 	serveOut := flag.String("serve", "", "write a JSON snapshot of the closed-loop multi-client serving measurements (latency quantiles and QPS vs client count over a zipfian workload, the BENCH_6.json artifact) to this file and exit")
 	serveClients := flag.String("serve-clients", "1,4,16", "comma-separated client counts for -serve")
@@ -463,9 +463,9 @@ func measure(reps int, med *medmaker.Mediator, q string) (ns int64, exchanges, q
 	return d.Nanoseconds(), e1 - e0, q1 - q0, h1 - h0
 }
 
-// runSnapshot measures the new executor knobs — parameterized-query
-// batching, the answer cache, and the pipelined executor — and writes the
-// results as JSON (the BENCH_1.json artifact checked into the repo).
+// runSnapshot measures the executor knobs — parameterized-query batching
+// and the answer cache — and writes the results as JSON (the BENCH_1.json
+// artifact checked into the repo).
 func runSnapshot(reps int, path string) {
 	snap := snapshotFile{Tool: "medbench -snapshot", Reps: reps}
 	fullView := `P :- P:<cs_person {<name N>}>@med.`
@@ -518,33 +518,6 @@ func runSnapshot(reps int, path string) {
 		})
 	}
 
-	// E-PIPE: materialized sequential vs pipelined parallel executor.
-	for _, pipelined := range []bool{false, true} {
-		staff := must(workload.GenStaff(workload.StaffConfig{
-			Persons: 300, Departments: 4, EmployeeFraction: 0.5, Irregularity: 0.3, Seed: 1,
-		}))
-		cfg := medmaker.Config{
-			Name: "med", Spec: specMS1,
-			Sources: []medmaker.Source{
-				medmaker.NewRelationalWrapper("cs", staff.DB),
-				medmaker.NewRecordWrapper("whois", staff.Store),
-			},
-			Plan: &opts, QueryBatch: 1,
-		}
-		label := "sequential"
-		if pipelined {
-			cfg.Pipeline = true
-			cfg.Parallelism = 8
-			label = "pipelined,workers=8"
-		}
-		med := must(medmaker.New(cfg))
-		ns, ex, qs, _ := measure(reps, med, fullView)
-		snap.Results = append(snap.Results, snapshotResult{
-			ID: "E-PIPE", Config: label,
-			Metric: "full view, 300 persons", NsPerOp: ns, Exchanges: ex, Queries: qs,
-		})
-	}
-
 	data, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "medbench: %v\n", err)
@@ -560,8 +533,8 @@ func runSnapshot(reps int, path string) {
 
 // runParallelSnapshot measures the columnar executor under explicit
 // parallelism degrees and writes the results as JSON (the BENCH_5.json
-// artifact checked into the repo). The rows mirror BENCH_1's E-BATCH and
-// E-PIPE full-view rows — same workload, same knobs — with the morsel
+// artifact checked into the repo). The rows mirror BENCH_1's E-BATCH
+// full-view rows — same workload, same knobs — with the morsel
 // worker count pinned to 1 (the serial floor: it must not regress the
 // pre-columnar numbers) and to GOMAXPROCS (the default degree, where the
 // ≥1.5x target over BENCH_1 is measured).
@@ -569,7 +542,7 @@ func runParallelSnapshot(reps int, path string) {
 	snap := snapshotFile{Tool: "medbench -parallel", Reps: reps, GoMaxProcs: runtime.GOMAXPROCS(0)}
 	fullView := `P :- P:<cs_person {<name N>}>@med.`
 	opts := medmaker.PlanOptions{PushConditions: true, Parameterize: true, DupElim: true}
-	mk := func(batch, par int, pipeline bool) *medmaker.Mediator {
+	mk := func(batch, par int) *medmaker.Mediator {
 		staff := must(workload.GenStaff(workload.StaffConfig{
 			Persons: 300, Departments: 4, EmployeeFraction: 0.5, Irregularity: 0.3, Seed: 1,
 		}))
@@ -579,7 +552,7 @@ func runParallelSnapshot(reps int, path string) {
 				medmaker.NewRelationalWrapper("cs", staff.DB),
 				medmaker.NewRecordWrapper("whois", staff.Store),
 			},
-			Plan: &opts, QueryBatch: batch, Parallelism: par, Pipeline: pipeline,
+			Plan: &opts, QueryBatch: batch, Parallelism: par,
 		}))
 	}
 	degrees := []int{1, runtime.GOMAXPROCS(0)}
@@ -588,24 +561,12 @@ func runParallelSnapshot(reps int, path string) {
 	}
 	for _, par := range degrees {
 		for _, batch := range []int{1, medmaker.DefaultQueryBatch} {
-			ns, ex, qs, _ := measure(reps, mk(batch, par, false), fullView)
+			ns, ex, qs, _ := measure(reps, mk(batch, par), fullView)
 			snap.Results = append(snap.Results, snapshotResult{
 				ID: "E-BATCH", Config: fmt.Sprintf("batch=%d,par=%d", batch, par),
 				Metric: "full view, 300 persons", NsPerOp: ns, Exchanges: ex, Queries: qs,
 			})
 		}
-	}
-	for _, par := range degrees {
-		ns, ex, qs, _ := measure(reps, mk(1, par, false), fullView)
-		snap.Results = append(snap.Results, snapshotResult{
-			ID: "E-PIPE", Config: fmt.Sprintf("sequential,par=%d", par),
-			Metric: "full view, 300 persons", NsPerOp: ns, Exchanges: ex, Queries: qs,
-		})
-		ns, ex, qs, _ = measure(reps, mk(1, par, true), fullView)
-		snap.Results = append(snap.Results, snapshotResult{
-			ID: "E-PIPE", Config: fmt.Sprintf("pipelined,par=%d", par),
-			Metric: "full view, 300 persons", NsPerOp: ns, Exchanges: ex, Queries: qs,
-		})
 	}
 	data, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {

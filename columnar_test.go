@@ -1,11 +1,11 @@
 package medmaker
 
 // Differential coverage for the columnar binding tables and the morsel
-// scheduler: every executor mode (serial materialized, parallel
-// materialized, pipelined) at every interesting parallelism degree must
-// return exactly the objects the strictly-serial executor returns, in the
-// same order, across the differential suite's specs and queries. Run
-// under -race this doubles as the scheduler's data-race harness.
+// scheduler: batched and per-tuple parameterized queries at every
+// interesting parallelism degree must return exactly the objects the
+// strictly-serial executor returns, in the same order, across the
+// differential suite's specs and queries. Run under -race this doubles as
+// the scheduler's data-race harness.
 
 import (
 	"bytes"
@@ -95,38 +95,38 @@ func TestColumnarModesMatchSerial(t *testing.T) {
 	}
 	xmlSrc, streamSrc := heteroSources(t, people)
 	for si, spec := range specs {
-		mk := func(par int, pipeline bool) *Mediator {
+		mk := func(par, batch int) *Mediator {
 			med, err := New(Config{
 				Name: "med", Spec: spec,
 				Sources:     []Source{csSrc, whoisSrc, xmlSrc, streamSrc},
 				Parallelism: par,
-				Pipeline:    pipeline,
+				QueryBatch:  batch,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return med
 		}
-		serial := mk(1, false)
+		serial := mk(1, 0)
 		for qi, q := range queries {
 			want, err := serial.QueryString(q)
 			if err != nil {
 				continue // query does not apply to this spec
 			}
 			for _, par := range degrees {
-				for _, pipeline := range []bool{false, true} {
-					got, err := mk(par, pipeline).QueryString(q)
+				for _, batch := range []int{0, 1} {
+					got, err := mk(par, batch).QueryString(q)
 					if err != nil {
-						t.Fatalf("spec=%d query=%d par=%d pipeline=%v: %v", si, qi, par, pipeline, err)
+						t.Fatalf("spec=%d query=%d par=%d batch=%d: %v", si, qi, par, batch, err)
 					}
 					if len(got) != len(want) {
-						t.Fatalf("spec=%d query=%d par=%d pipeline=%v: %d objects, serial has %d",
-							si, qi, par, pipeline, len(got), len(want))
+						t.Fatalf("spec=%d query=%d par=%d batch=%d: %d objects, serial has %d",
+							si, qi, par, batch, len(got), len(want))
 					}
 					for i := range want {
 						if !want[i].StructuralEqual(got[i]) {
-							t.Fatalf("spec=%d query=%d par=%d pipeline=%v: result %d differs:\n%s\nvs\n%s",
-								si, qi, par, pipeline, i, oem.Format(want[i]), oem.Format(got[i]))
+							t.Fatalf("spec=%d query=%d par=%d batch=%d: result %d differs:\n%s\nvs\n%s",
+								si, qi, par, batch, i, oem.Format(want[i]), oem.Format(got[i]))
 						}
 					}
 				}

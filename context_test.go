@@ -63,21 +63,34 @@ func settleGoroutines(t *testing.T, base int) {
 	t.Fatalf("goroutines did not settle: %d running, started with %d", runtime.NumGoroutine(), base)
 }
 
-// executorModes enumerates the three execution strategies every
-// cancellation property must hold under.
-var executorModes = []struct {
+// execMode is one executor configuration a suite sweeps: the engine's
+// worker count and its parameterized-query batch size.
+type execMode struct {
 	name     string
-	parallel int
-	pipeline bool
-}{
-	{"sequential", 0, false},
-	{"parallel", 4, false},
-	{"pipelined", 4, true},
+	parallel int // Config.Parallelism
+	batch    int // Config.QueryBatch; 1 fans one exchange per tuple
+}
+
+// executorModes enumerates the configurations every cancellation, policy
+// and freshness property must hold under: the serial executor, the
+// parallel one, and the per-tuple exchange fan-out on the parallel one.
+var executorModes = []execMode{
+	{"sequential", 1, 0},
+	{"parallel", 4, 0},
+	{"per-tuple", 4, 1},
+}
+
+// engineModes is the same sweep under the names the trace, tier, shard
+// and soak suites report.
+var engineModes = []execMode{
+	{"serial", 1, 0},
+	{"parallel", 4, 0},
+	{"per-tuple", 4, 1},
 }
 
 // TestDeadlineAllExecutors: a 50ms deadline against a slow source must
 // surface as context.DeadlineExceeded well before the source's own delay,
-// under all three executors, without leaking goroutines.
+// in every executor mode, without leaking goroutines.
 func TestDeadlineAllExecutors(t *testing.T) {
 	for _, mode := range executorModes {
 		t.Run(mode.name, func(t *testing.T) {
@@ -85,7 +98,7 @@ func TestDeadlineAllExecutors(t *testing.T) {
 			med, err := New(Config{
 				Name: "med", Spec: specMS1,
 				Sources:     []Source{cs, &slowSource{inner: whois, delay: 5 * time.Second}},
-				Parallelism: mode.parallel, Pipeline: mode.pipeline,
+				Parallelism: mode.parallel, QueryBatch: mode.batch,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -116,7 +129,7 @@ func TestCancelMidQuery(t *testing.T) {
 			med, err := New(Config{
 				Name: "med", Spec: specMS1,
 				Sources:     []Source{cs, &slowSource{inner: whois, delay: 5 * time.Second}},
-				Parallelism: mode.parallel, Pipeline: mode.pipeline,
+				Parallelism: mode.parallel, QueryBatch: mode.batch,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -228,7 +241,7 @@ func TestSkipPolicyDifferential(t *testing.T) {
 			degraded, err := New(Config{
 				Name: "med", Spec: unionSpec,
 				Sources:     []Source{whois, &downSource{name: "shaky"}},
-				Parallelism: mode.parallel, Pipeline: mode.pipeline,
+				Parallelism: mode.parallel, QueryBatch: mode.batch,
 				Policy: ExecPolicy{OnSourceError: OnSourceErrorSkip},
 			})
 			if err != nil {

@@ -86,12 +86,12 @@ func TestHeteroSourcesMatchFacade(t *testing.T) {
 		`X :- X:<view {<e_mail E>}>@med.`,
 	}
 
-	mkMed := func(src Source, par int, pipeline bool) *Mediator {
+	mkMed := func(src Source, mode execMode) *Mediator {
 		med, err := New(Config{
 			Name: "med", Spec: spec,
 			Sources:     []Source{src},
-			Parallelism: par,
-			Pipeline:    pipeline,
+			Parallelism: mode.parallel,
+			QueryBatch:  mode.batch,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -99,11 +99,11 @@ func TestHeteroSourcesMatchFacade(t *testing.T) {
 		return med
 	}
 
-	ref := mkMed(facade, 0, false)
+	ref := mkMed(facade, execMode{})
 	for _, kind := range heteroKinds(t, people) {
 		t.Run(kind.name, func(t *testing.T) {
 			for _, mode := range executorModes {
-				med := mkMed(kind.src, mode.parallel, mode.pipeline)
+				med := mkMed(kind.src, mode)
 				for qi, q := range queries {
 					want, err := ref.QueryString(q)
 					if err != nil {

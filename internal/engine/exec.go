@@ -52,14 +52,6 @@ type Executor struct {
 	// distributing answers back to the originating rows. 0 or 1 keeps the
 	// paper's one-query-per-tuple behavior.
 	QueryBatch int
-	// Pipeline streams row batches between plan operators through
-	// channels instead of materializing each operator's full output,
-	// overlapping source waits across the graph. It engages only when
-	// Parallelism > 1 and tracing is off; the sequential path is untouched.
-	Pipeline bool
-	// PipelineRows is the row-batch size pipelined execution streams
-	// between operators (0 = DefaultPipelineRows).
-	PipelineRows int
 	// MorselRows is how many rows of a local operator's input one worker
 	// claims at a time when fanning out morsel-parallel (0 =
 	// DefaultMorselRows).
@@ -69,13 +61,7 @@ type Executor struct {
 	// skip the exchange). The zero value reproduces the paper's
 	// all-or-nothing behavior.
 	Policy Policy
-
-	depth int
 }
-
-// DefaultPipelineRows is the pipelined executor's row-batch size when
-// PipelineRows is zero.
-const DefaultPipelineRows = 64
 
 // queryBatch returns the effective parameterized-query batch size; values
 // below 2 mean batching is off.
@@ -84,14 +70,6 @@ func (ex *Executor) queryBatch() int {
 		return 1
 	}
 	return ex.QueryBatch
-}
-
-// pipelineRows returns the effective streaming row-batch size.
-func (ex *Executor) pipelineRows() int {
-	if ex.PipelineRows <= 0 {
-		return DefaultPipelineRows
-	}
-	return ex.PipelineRows
 }
 
 // parallelism returns the effective worker count.
@@ -114,21 +92,14 @@ func (ex *Executor) Run(n Node) (*Table, error) {
 // abandoned) — and surfaces as ctx.Err(). Every execution goroutine the
 // engine itself started has exited by the time RunContext returns.
 func (ex *Executor) RunContext(ctx context.Context, n Node) (*Table, error) {
-	return ex.runGraph(newRunState(ex, ctx, n), n)
+	return ex.runMaterialized(newRunState(ex, ctx, n), n)
 }
 
-func (ex *Executor) runGraph(rs *runState, n Node) (*Table, error) {
-	if err := rs.cancelled(); err != nil {
-		return nil, err
-	}
-	if ex.Pipeline && ex.parallelism() > 1 {
-		return ex.runPipelined(rs, n)
-	}
-	return ex.runMaterialized(rs, n)
-}
-
-// runMaterialized is the classic bottom-up evaluation: every operator's
-// output table is fully materialized before its parent runs.
+// runMaterialized is the paper's bottom-up evaluation: every operator's
+// output table is fully materialized before its parent runs. Independent
+// subtrees evaluate concurrently when the executor is parallel; inside an
+// operator, work fans out on the morsel scheduler (morsel.go), which at
+// width 1 is the serial loop.
 func (ex *Executor) runMaterialized(rs *runState, n Node) (*Table, error) {
 	if err := rs.cancelled(); err != nil {
 		return nil, err
@@ -190,7 +161,7 @@ func (ex *Executor) RunObjectsContext(ctx context.Context, n Node) ([]*oem.Objec
 // the per-source failures behind it.
 func (ex *Executor) RunResult(ctx context.Context, n Node) (*Result, error) {
 	rs := newRunState(ex, ctx, n)
-	t, err := ex.runGraph(rs, n)
+	t, err := ex.runMaterialized(rs, n)
 	if err != nil {
 		return nil, err
 	}
@@ -234,8 +205,8 @@ func (rs *runState) absorbFeedback() {
 }
 
 func (ex *Executor) traceNode(n Node, out *Table, d time.Duration) {
-	fmt.Fprintf(ex.Trace, "%s [%s] %s -> %d rows (%s)\n",
-		strings.Repeat("  ", ex.depth), n.Label(), clip(n.Detail(), 100), out.Len(), d.Round(time.Microsecond))
+	fmt.Fprintf(ex.Trace, " [%s] %s -> %d rows (%s)\n",
+		n.Label(), trace.Clip(n.Detail(), 100), out.Len(), d.Round(time.Microsecond))
 	maxRows := ex.TraceRows
 	if maxRows == 0 {
 		maxRows = 8

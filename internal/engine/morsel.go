@@ -5,17 +5,20 @@ import (
 	"sync/atomic"
 )
 
-// This file implements the engine's morsel scheduler. Local operators —
-// extraction over fetched answers, external predicates, hash-join build
-// and probe, dedup hashing, cross products — split their input table
-// into fixed-size runs of rows ("morsels") executed on a bounded worker
-// pool of Executor.Parallelism goroutines. Each morsel produces an
-// independent output chunk; callers concatenate chunks in morsel order,
-// so parallel results are byte-identical to the serial loop. Workers
-// claim morsels from a shared atomic counter (work stealing by
-// oversubscription: morsels are small, so an uneven morsel costs little
-// tail latency) and poll the run's context between morsels, preserving
-// the engine's prompt-cancellation guarantee.
+// This file implements the engine's morsel scheduler, its one worker
+// pool. Local operators — extraction over fetched answers, external
+// predicates, hash-join build and probe, dedup hashing, cross products —
+// split their input table into fixed-size runs of rows ("morsels")
+// executed on a bounded pool of Executor.Parallelism goroutines.
+// Latency-bound fan-outs use morsels of width 1: per-tuple source
+// exchanges, batched exchange chunks, shard scatters, and hash-join
+// partitions. Each morsel produces an independent output chunk; callers
+// concatenate chunks in morsel order, so parallel results are
+// byte-identical to the serial loop, which is the same scheduler with
+// one worker. Workers claim morsels from a shared atomic counter (work
+// stealing by oversubscription: morsels are small, so an uneven morsel
+// costs little tail latency) and poll the run's context between morsels,
+// preserving the engine's prompt-cancellation guarantee.
 
 // DefaultMorselRows is the morsel width when Executor.MorselRows is 0:
 // large enough to amortize scheduling, small enough that typical
@@ -48,9 +51,9 @@ func (rs *runState) runMorsels(n Node, total int, fn func(m, lo, hi int) error) 
 }
 
 // runMorselsWidth is runMorsels with an explicit morsel width. Latency-
-// bound work uses width 1 — a shard scatter's member exchanges each
-// become their own morsel, so four shards fan out over four workers
-// instead of sharing one row-sized morsel.
+// bound work uses width 1 — each source exchange (or a shard scatter's
+// member exchange) becomes its own morsel, so four exchanges fan out over
+// four workers instead of sharing one row-sized morsel.
 func (rs *runState) runMorselsWidth(n Node, total, size int, fn func(m, lo, hi int) error) error {
 	if size < 1 {
 		size = 1
@@ -104,6 +107,7 @@ func (rs *runState) runMorselsWidth(n Node, total, size int, fn func(m, lo, hi i
 				lo := m * size
 				if err := fn(m, lo, clampHi(lo)); err != nil {
 					errs[w] = err
+					next.Store(int64(morsels)) // stop the other workers claiming
 					return
 				}
 			}

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"medmaker/internal/build"
@@ -120,65 +119,35 @@ func (n *QueryNode) Kids() []Node {
 func (n *QueryNode) OutVars() []string { return n.Needed }
 
 func (n *QueryNode) run(rs *runState, kids []*Table) (*Table, error) {
-	ex := rs.ex
-	src, ok := ex.Sources.Lookup(n.Source)
+	src, ok := rs.ex.Sources.Lookup(n.Source)
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown source %q", n.Source)
 	}
-	inputRows := []match.Env{nil}
-	if len(kids) == 1 {
-		inputRows = kids[0].Envs()
-	}
-	if ex.queryBatch() > 1 && len(kids) == 1 {
-		rows, err := n.runBatched(rs, src, inputRows, nil)
+	if len(kids) == 0 {
+		rows, err := n.runRow(rs, src, nil)
 		if err != nil {
 			return nil, err
 		}
 		return tableFromEnvs(n.Needed, rows), nil
 	}
-	workers := ex.parallelism()
-	if workers > len(inputRows) {
-		workers = len(inputRows)
-	}
-	if workers <= 1 {
-		out := outTable(n.Needed)
-		for _, row := range inputRows {
-			rows, err := n.runRow(rs, src, row)
-			if err != nil {
-				return nil, err
-			}
-			for _, e := range rows {
-				out.AppendEnv(e)
-			}
-		}
-		return out, nil
-	}
-	// Fan the input tuples across workers round-robin (each tuple is one
-	// source exchange, so latency hiding beats morsel locality here);
-	// per-row results are collected in input order so parallel and
-	// sequential plans agree exactly.
-	perRow := make([][]match.Env, len(inputRows))
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(inputRows); i += workers {
-				rows, err := n.runRow(rs, src, inputRows[i])
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				perRow[i] = rows
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	inputRows := kids[0].Envs()
+	if rs.ex.queryBatch() > 1 {
+		rows, err := n.runBatched(rs, src, inputRows)
 		if err != nil {
 			return nil, err
 		}
+		return tableFromEnvs(n.Needed, rows), nil
+	}
+	// One exchange per input tuple: each tuple is its own morsel, so the
+	// exchanges overlap across the workers; per-row results concatenate in
+	// input order, so parallel and serial runs agree exactly.
+	perRow := make([][]match.Env, len(inputRows))
+	if err := rs.runMorselsWidth(n, len(inputRows), 1, func(i, _, _ int) error {
+		rows, err := n.runRow(rs, src, inputRows[i])
+		perRow[i] = rows
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	out := outTable(n.Needed)
 	for _, rows := range perRow {
@@ -348,13 +317,8 @@ type answerSet struct {
 // per exchange when the source implements wrapper.BatchQuerier (or its
 // context-aware form), and the answers are distributed back to the
 // originating rows in input order, so the output is identical to the
-// per-tuple path against deterministic sources. memo carries answers
-// across calls — the pipelined executor streams row batches through one
-// node — and may be nil for one-shot use.
-func (n *QueryNode) runBatched(rs *runState, src wrapper.Source, rows []match.Env, memo map[string]*answerSet) ([]match.Env, error) {
-	if memo == nil {
-		memo = make(map[string]*answerSet, len(rows))
-	}
+// per-tuple path against deterministic sources.
+func (n *QueryNode) runBatched(rs *runState, src wrapper.Source, rows []match.Env) ([]match.Env, error) {
 	keys := make([]string, len(rows))
 	var pendingKeys []string
 	pending := map[string]*msl.Rule{}
@@ -362,9 +326,6 @@ func (n *QueryNode) runBatched(rs *runState, src wrapper.Source, rows []match.En
 		vals := n.paramVals(row)
 		key := n.paramKey(vals)
 		keys[i] = key
-		if _, done := memo[key]; done {
-			continue
-		}
 		if _, queued := pending[key]; queued {
 			continue
 		}
@@ -379,7 +340,8 @@ func (n *QueryNode) runBatched(rs *runState, src wrapper.Source, rows []match.En
 		pending[key] = q
 		pendingKeys = append(pendingKeys, key)
 	}
-	if err := n.fetchBatches(rs, src, pendingKeys, pending, memo); err != nil {
+	memo, err := n.fetchBatches(rs, src, pendingKeys, pending)
+	if err != nil {
 		return nil, err
 	}
 	// Extraction over the fetched answers is pure CPU — pattern matching
@@ -411,14 +373,12 @@ func (n *QueryNode) runBatched(rs *runState, src wrapper.Source, rows []match.En
 // Executor.QueryBatch per exchange for batch-capable sources and one
 // exchange per query otherwise, applying the run's failure policy to
 // every exchange: a failed exchange's queries answer empty under
-// Skip/Partial instead of aborting the run. Independent exchanges run
-// concurrently up to Executor.Parallelism — answers land in the memo
-// keyed by their instantiated query, so exchange completion order never
-// affects the output (extraction replays the input-row order).
-func (n *QueryNode) fetchBatches(rs *runState, src wrapper.Source, keys []string, pending map[string]*msl.Rule, memo map[string]*answerSet) error {
-	if len(keys) == 0 {
-		return nil
-	}
+// Skip/Partial instead of aborting the run. Each exchange is one morsel,
+// so independent exchanges run concurrently up to Executor.Parallelism;
+// answers land in the returned memo keyed by their instantiated query,
+// so exchange completion order never affects the output (extraction
+// replays the input-row order).
+func (n *QueryNode) fetchBatches(rs *runState, src wrapper.Source, keys []string, pending map[string]*msl.Rule) (map[string]*answerSet, error) {
 	size := rs.ex.queryBatch()
 	canBatch := false
 	if _, ok := src.(wrapper.BatchQuerier); ok {
@@ -434,57 +394,17 @@ func (n *QueryNode) fetchBatches(rs *runState, src wrapper.Source, keys []string
 		}
 		chunks = append(chunks, keys[start:end])
 	}
+	memo := make(map[string]*answerSet, len(keys))
 	var mu sync.Mutex
 	store := func(k string, a *answerSet) {
 		mu.Lock()
 		memo[k] = a
 		mu.Unlock()
 	}
-	workers := rs.ex.parallelism()
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	if workers <= 1 {
-		for _, chunk := range chunks {
-			if err := rs.cancelled(); err != nil {
-				return err
-			}
-			if err := n.fetchChunk(rs, src, chunk, pending, canBatch, store); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var next atomic.Int64
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= len(chunks) {
-					return
-				}
-				if err := rs.cancelled(); err != nil {
-					errs[w] = err
-					return
-				}
-				if err := n.fetchChunk(rs, src, chunks[c], pending, canBatch, store); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	err := rs.runMorselsWidth(n, len(chunks), 1, func(c, _, _ int) error {
+		return n.fetchChunk(rs, src, chunks[c], pending, canBatch, store)
+	})
+	return memo, err
 }
 
 // fetchChunk performs one exchange's worth of queries: a single batched
@@ -769,28 +689,17 @@ func (n *JoinNode) run(rs *runState, kids []*Table) (*Table, error) {
 		nparts = 1 // a tiny build side is not worth nparts scans
 	}
 	parts := make([]map[uint64][]int32, nparts)
-	if nparts <= 1 {
-		m := make(map[uint64][]int32, hashed.Len())
+	if err := rs.runMorselsWidth(n, nparts, 1, func(p, _, _ int) error {
+		m := make(map[uint64][]int32, hashed.Len()/nparts+1)
 		for i, h := range bh {
-			m[h] = append(m[h], int32(i))
+			if h%uint64(nparts) == uint64(p) {
+				m[h] = append(m[h], int32(i))
+			}
 		}
-		parts[0] = m
-	} else {
-		var wg sync.WaitGroup
-		for p := 0; p < nparts; p++ {
-			wg.Add(1)
-			go func(p uint64) {
-				defer wg.Done()
-				m := make(map[uint64][]int32, hashed.Len()/nparts+1)
-				for i, h := range bh {
-					if h%uint64(nparts) == p {
-						m[h] = append(m[h], int32(i))
-					}
-				}
-				parts[p] = m
-			}(uint64(p))
-		}
-		wg.Wait()
+		parts[p] = m
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	chunks := make([]*Table, rs.ex.morselCount(probe.Len()))
 	if err := rs.runMorsels(n, probe.Len(), func(m, lo, hi int) error {

@@ -10,11 +10,10 @@ import (
 // This file wires the engine to the structured observability layer. A run
 // whose Executor carries a Recorder registers the whole physical graph
 // with the trace before execution starts — one trace.NodeStats per
-// operator, one trace.SourceStats per distinct source — and every
-// execution path (materialized, parallel, pipelined) reports rows, wall
-// time, and source exchanges into those records through atomic counters.
-// The registration maps are read-only during the run, so concurrent
-// stages share them without locks.
+// operator, one trace.SourceStats per distinct source — and every worker
+// of the run reports rows, wall time, and source exchanges into those
+// records through atomic counters. The registration maps are read-only
+// during the run, so concurrent workers share them without locks.
 //
 // Independent of any per-query trace, every source exchange is also
 // recorded in the process-wide metrics registry (metrics.Default), which

@@ -95,22 +95,19 @@ type Result struct {
 }
 
 // runState carries one run's context and failure policy through the
-// operator graph. Stages of a pipelined run share the degradation record
-// but may hold different (derived) contexts, so runState is a cheap view
-// over the shared state.
+// operator graph; every worker of the run shares it.
 type runState struct {
 	ex  *Executor
 	ctx context.Context
 	deg *degradation
 	// obs holds the run's registered trace records (nil when the executor
 	// carries no Recorder). Its maps are built before execution starts and
-	// read-only afterwards, so concurrent stages share them lock-free.
+	// read-only afterwards, so concurrent workers share them lock-free.
 	obs *graphObs
 }
 
 // degradation is the shared per-run record of skipped sources and
-// collected failures; it is written concurrently by parallel workers and
-// pipeline stages.
+// collected failures; it is written concurrently by parallel workers.
 type degradation struct {
 	policy Policy
 	mu     sync.Mutex
@@ -127,12 +124,6 @@ func newRunState(ex *Executor, ctx context.Context, root Node) *runState {
 		rs.obs = newGraphObs(ex.Recorder, root)
 	}
 	return rs
-}
-
-// withCtx returns a view of rs bound to a derived context; the
-// degradation record and trace records stay shared.
-func (rs *runState) withCtx(ctx context.Context) *runState {
-	return &runState{ex: rs.ex, ctx: ctx, deg: rs.deg, obs: rs.obs}
 }
 
 // cancelled returns the run's terminal context error, if any — the check

@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"medmaker/internal/match"
+	"medmaker/internal/trace"
 )
 
 // Table is a binding table flowing along a graph arc. The layout is
@@ -217,17 +218,6 @@ func (t *Table) appendTable(o *Table) {
 	t.n += o.n
 }
 
-// slice returns a read-only view of rows [lo, hi): shared schema, shared
-// column slabs. Pipelined execution streams these as batches.
-func (t *Table) slice(lo, hi int) *Table {
-	s := &Table{Cols: t.Cols, vars: t.vars, idx: t.idx, n: hi - lo, fixed: true}
-	s.cols = make([][]match.Binding, len(t.cols))
-	for c := range t.cols {
-		s.cols[c] = t.cols[c][lo:hi]
-	}
-	return s
-}
-
 // boundCount returns how many variables row i binds — the columnar
 // equivalent of len(env), which drives join value precedence.
 func (t *Table) boundCount(i int) int {
@@ -293,7 +283,7 @@ func (t *Table) Format(w io.Writer, maxRows int) {
 		line := make([]string, len(cols))
 		for li, c := range cols {
 			if b := t.binding(i, t.ColIndex(c)); !b.IsZero() {
-				line[li] = clip(b.String(), 40)
+				line[li] = trace.Clip(b.String(), 40)
 			} else {
 				line[li] = "-"
 			}
@@ -328,12 +318,4 @@ func (t *Table) Format(w io.Writer, maxRows int) {
 	if truncated {
 		fmt.Fprintf(w, "  … %d more rows\n", t.n-n)
 	}
-}
-
-func clip(s string, n int) string {
-	s = strings.ReplaceAll(s, "\n", " ")
-	if len(s) <= n {
-		return s
-	}
-	return s[:n-1] + "…"
 }

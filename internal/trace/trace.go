@@ -5,9 +5,9 @@
 // time), and per-source exchange latency histograms.
 //
 // The engine populates node and source records through atomic counters,
-// so the pipelined and parallel executors merge their observations
-// race-free; phases are contiguous segments sharing boundary timestamps,
-// so phase durations sum exactly to the trace's total. Every recording
+// so the parallel executor's workers merge their observations race-free;
+// phases are contiguous segments sharing boundary timestamps, so phase
+// durations sum exactly to the trace's total. Every recording
 // method is nil-receiver-safe: instrumented code paths call them
 // unconditionally and an untraced query pays only a nil check.
 //
@@ -26,6 +26,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"medmaker/internal/metrics"
 )
@@ -183,8 +184,8 @@ func (t *QueryTrace) Source(name string) *SourceStats {
 }
 
 // NodeStats is the execution record of one physical-graph operator. All
-// counters are atomic: the materialized-parallel and pipelined executors
-// update one record from several goroutines.
+// counters are atomic: the parallel executor's workers update one record
+// from several goroutines.
 type NodeStats struct {
 	id     int
 	kind   string
@@ -607,7 +608,7 @@ func (s Summary) Render(w io.Writer) {
 }
 
 func renderNode(w io.Writer, byID map[int]NodeSummary, n NodeSummary, depth int) {
-	fmt.Fprintf(w, "%s%s: %s\n", strings.Repeat("    ", depth), n.Kind, clip(n.Detail, 100))
+	fmt.Fprintf(w, "%s%s: %s\n", strings.Repeat("    ", depth), n.Kind, Clip(n.Detail, 100))
 	stats := fmt.Sprintf("rows=%d", n.RowsOut)
 	if n.HasEst {
 		stats += fmt.Sprintf(" (est %.1f)", n.EstRows)
@@ -634,9 +635,18 @@ func renderNode(w io.Writer, byID map[int]NodeSummary, n NodeSummary, depth int)
 	}
 }
 
-func clip(s string, n int) string {
+// Clip prepares s for a one-line display cell of about n bytes: newlines
+// become spaces, and a longer string is cut to at most n-1 bytes, backed
+// up to a rune boundary so multibyte text stays valid UTF-8, then marked
+// with "…".
+func Clip(s string, n int) string {
+	s = strings.ReplaceAll(s, "\n", " ")
 	if len(s) <= n {
 		return s
 	}
-	return s[:n-1] + "…"
+	cut := n - 1
+	for cut > 0 && !utf8.RuneStart(s[cut]) {
+		cut--
+	}
+	return s[:cut] + "…"
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 )
 
 func TestPhasesPartitionTotal(t *testing.T) {
@@ -219,6 +220,37 @@ func TestRenderAndJSON(t *testing.T) {
 	}
 	if len(back.Nodes) != 2 || back.Nodes[1].RowsOut != 3 {
 		t.Fatalf("round trip lost data: %+v", back)
+	}
+}
+
+// TestClipKeepsUTF8: clipping multibyte text for a table cell (40 bytes)
+// or a node detail (100 bytes) must cut on a rune boundary, so traces of
+// non-ASCII data stay valid UTF-8.
+func TestClipKeepsUTF8(t *testing.T) {
+	s := strings.Repeat("é", 60) // 120 bytes
+	for _, n := range []int{40, 100} {
+		got := Clip(s, n)
+		if !utf8.ValidString(got) || !strings.HasSuffix(got, "…") {
+			t.Errorf("Clip(60×é, %d) = %q: want valid UTF-8 ending in …", n, got)
+		}
+		if len(got) > n-1+len("…") {
+			t.Errorf("Clip(60×é, %d) kept %d bytes", n, len(got))
+		}
+	}
+	if got := Clip("a\nb", 10); got != "a b" {
+		t.Errorf("Clip flattened newlines to %q", got)
+	}
+	if got := Clip(strings.Repeat("x", 50), 40); got != strings.Repeat("x", 39)+"…" {
+		t.Errorf("ASCII clip = %q", got)
+	}
+
+	qt := New("q")
+	qt.NewNode("query(whois)", "whois", "<person {<name '"+s+"'>}>")
+	qt.End()
+	var sb strings.Builder
+	qt.Render(&sb)
+	if out := sb.String(); !utf8.ValidString(out) {
+		t.Fatalf("render of a long multibyte detail is not valid UTF-8:\n%s", out)
 	}
 }
 

@@ -90,7 +90,7 @@ func TestMatViewDifferential(t *testing.T) {
 					Name: "med", Spec: spec,
 					Sources:     []Source{csSrc, whoisSrc},
 					Parallelism: mode.parallel,
-					Pipeline:    mode.pipeline,
+					QueryBatch:  mode.batch,
 				}
 				plain, err := New(base)
 				if err != nil {
@@ -138,11 +138,7 @@ func TestMatViewDifferential(t *testing.T) {
 
 // newMatViewMediator builds a paper-sources MS1 mediator materializing
 // cs_person.
-func newMatViewMediator(t *testing.T, opts MatViewOptions, mode struct {
-	name     string
-	parallel int
-	pipeline bool
-}) *Mediator {
+func newMatViewMediator(t *testing.T, opts MatViewOptions, mode execMode) *Mediator {
 	t.Helper()
 	cs, whois := newPaperSources(t)
 	if len(opts.Views) == 0 {
@@ -153,7 +149,7 @@ func newMatViewMediator(t *testing.T, opts MatViewOptions, mode struct {
 		Spec:        specMS1,
 		Sources:     []Source{cs, whois},
 		Parallelism: mode.parallel,
-		Pipeline:    mode.pipeline,
+		QueryBatch:  mode.batch,
 		Materialize: &opts,
 	})
 	if err != nil {

@@ -236,11 +236,9 @@ type Config struct {
 	// BatchQuerier support). 0 means DefaultQueryBatch; 1 restores the
 	// paper's one-query-per-tuple behavior.
 	QueryBatch int
-	// Pipeline streams row batches between plan operators through
-	// channels instead of materializing every intermediate table,
-	// overlapping source waits across the graph. It engages only when
-	// Parallelism > 1 and tracing is off; results are structurally
-	// identical to sequential execution.
+	// Pipeline is kept so that existing configurations still compile.
+	//
+	// Deprecated: ignored; the engine has one executor.
 	Pipeline bool
 	// Cache, when non-nil, puts an LRU answer cache in front of every
 	// source, keyed by normalized query text, with the given size and TTL.
@@ -288,7 +286,6 @@ type Mediator struct {
 	trace    io.Writer
 	parallel int
 	batch    int
-	pipeline bool
 	policy   ExecPolicy
 	cacheCfg *wrapper.CacheOptions
 	cacheMu  sync.Mutex
@@ -376,7 +373,6 @@ func New(cfg Config) (*Mediator, error) {
 		trace:    cfg.Trace,
 		parallel: par,
 		batch:    batch,
-		pipeline: cfg.Pipeline,
 		policy:   cfg.Policy,
 		fused:    specHasSkolems(spec),
 	}
@@ -490,17 +486,7 @@ func (m *Mediator) buildViewDelta(ctx context.Context, fetch *Rule, source strin
 	if err != nil {
 		return nil, false, false, err
 	}
-	ex := &engine.Executor{
-		Sources:     reg,
-		Extfn:       m.extfns,
-		IDGen:       m.gen,
-		Stats:       m.stats,
-		Parallelism: m.parallel,
-		QueryBatch:  m.batch,
-		Pipeline:    m.pipeline,
-		Policy:      m.policy,
-	}
-	res, err := ex.RunResult(ctx, p.Root)
+	res, err := m.execute(ctx, reg, p.Root, m.policy, nil, false)
 	if err != nil {
 		return nil, false, false, err
 	}
@@ -626,8 +612,8 @@ func (m *Mediator) QueryPolicy(ctx context.Context, q *Rule, policy ExecPolicy) 
 // cardinalities, source exchanges, and cache traffic. The trace is
 // complete (ended) when QueryTraced returns, including on error — render
 // it with QueryTrace.Render or snapshot it with QueryTrace.Snapshot.
-// Tracing does not force sequential execution; parallel and pipelined
-// runs merge their records race-free.
+// Tracing does not force sequential execution; parallel workers merge
+// their records race-free.
 func (m *Mediator) QueryTraced(ctx context.Context, q *Rule) (*QueryResult, *QueryTrace, error) {
 	qt := trace.New(q.String())
 	res, err := m.queryTraced(ctx, q, m.policy, qt)
@@ -666,7 +652,7 @@ func (m *Mediator) queryLive(ctx context.Context, q *Rule, policy ExecPolicy, qt
 		return nil, err
 	}
 	qt.Phase(trace.PhaseExecute)
-	return m.executeResult(ctx, policy, physical, qt)
+	return m.execute(ctx, m.sources, physical.Root, policy, qt, true)
 }
 
 // planForQuery produces the physical plan for q, through the plan cache
@@ -853,23 +839,7 @@ func (m *Mediator) queryMatView(ctx context.Context, q *Rule, policy ExecPolicy,
 	// zero exchanges.
 	root := engine.SubstituteMatScan(p.Root, extents)
 	qt.Phase(trace.PhaseExecute)
-	ex := &engine.Executor{
-		Sources:     reg,
-		Extfn:       m.extfns,
-		IDGen:       m.gen,
-		Stats:       m.stats,
-		Recorder:    qt,
-		Parallelism: m.parallel,
-		QueryBatch:  m.batch,
-		Pipeline:    m.pipeline,
-		Policy:      policy,
-	}
-	if m.trace != nil {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		ex.Trace = m.trace
-	}
-	res, rerr := ex.RunResult(ctx, root)
+	res, rerr := m.execute(ctx, reg, root, policy, qt, true)
 	if rerr != nil {
 		return nil, false, rerr
 	}
@@ -958,7 +928,7 @@ func (m *Mediator) queryFusedView(ctx context.Context, policy ExecPolicy, q *Rul
 		return nil, err
 	}
 	qt.Phase(trace.PhaseExecute)
-	viewRes, err := m.executeResult(ctx, policy, physical, qt)
+	viewRes, err := m.execute(ctx, m.sources, physical.Root, policy, qt, true)
 	if err != nil {
 		return nil, err
 	}
@@ -991,23 +961,7 @@ func (m *Mediator) queryFusedView(ctx context.Context, policy ExecPolicy, q *Rul
 		return nil, err
 	}
 	qt.Phase(trace.PhaseExecute)
-	ex := &engine.Executor{
-		Sources:     reg,
-		Extfn:       m.extfns,
-		IDGen:       m.gen,
-		Stats:       m.stats,
-		Recorder:    qt,
-		Parallelism: m.parallel,
-		QueryBatch:  m.batch,
-		Pipeline:    m.pipeline,
-		Policy:      policy,
-	}
-	if m.trace != nil {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		ex.Trace = m.trace
-	}
-	res, err := ex.RunResult(ctx, finalPlan.Root)
+	res, err := m.execute(ctx, reg, finalPlan.Root, policy, qt, true)
 	if err != nil {
 		return nil, err
 	}
@@ -1139,34 +1093,36 @@ func (m *Mediator) Execute(p *plan.Plan) ([]*Object, error) {
 // ExecuteContext is Execute bounded by ctx (see QueryContext for the
 // cancellation guarantees).
 func (m *Mediator) ExecuteContext(ctx context.Context, p *plan.Plan) ([]*Object, error) {
-	res, err := m.executeResult(ctx, m.policy, p, nil)
+	res, err := m.execute(ctx, m.sources, p.Root, m.policy, nil, true)
 	if err != nil {
 		return nil, err
 	}
 	return res.Objects, nil
 }
 
-// executeResult runs a physical plan under ctx and policy, returning the
-// answer with its degradation record. A non-nil qt receives the run's
-// structured execution record.
-func (m *Mediator) executeResult(ctx context.Context, policy ExecPolicy, p *plan.Plan, qt *trace.QueryTrace) (*QueryResult, error) {
+// execute runs a physical graph over reg under ctx and policy, returning
+// the answer with its degradation record; it is the one place the facade
+// builds an engine executor. A non-nil qt receives the run's structured
+// execution record. textTrace feeds the run to the Config.Trace text
+// tracer, serialized on m.mu; delta evaluation passes false, so it stays
+// untraced and never waits behind a traced query.
+func (m *Mediator) execute(ctx context.Context, reg *wrapper.Registry, root engine.Node, policy ExecPolicy, qt *trace.QueryTrace, textTrace bool) (*QueryResult, error) {
 	ex := &engine.Executor{
-		Sources:     m.sources,
+		Sources:     reg,
 		Extfn:       m.extfns,
 		IDGen:       m.gen,
 		Stats:       m.stats,
 		Recorder:    qt,
 		Parallelism: m.parallel,
 		QueryBatch:  m.batch,
-		Pipeline:    m.pipeline,
 		Policy:      policy,
 	}
-	if m.trace != nil {
+	if textTrace && m.trace != nil {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		ex.Trace = m.trace
 	}
-	return ex.RunResult(ctx, p.Root)
+	return ex.RunResult(ctx, root)
 }
 
 // Explain returns a human-readable account of how the mediator would

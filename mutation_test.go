@@ -99,7 +99,7 @@ func TestMutationFreshReads(t *testing.T) {
 					Name: "med", Spec: specMS1,
 					Sources:     []Source{cs, whois},
 					Parallelism: mode.parallel,
-					Pipeline:    mode.pipeline,
+					QueryBatch:  mode.batch,
 				}
 				cfg.set(&c)
 				med, err := New(c)
@@ -424,7 +424,7 @@ func TestMutationDifferential(t *testing.T) {
 					Name: "med", Spec: spec,
 					Sources:     []Source{csSrc, whoisSrc, xmlSrc, streamSrc},
 					Parallelism: mode.parallel,
-					Pipeline:    mode.pipeline,
+					QueryBatch:  mode.batch,
 				}
 				live, err := New(base)
 				if err != nil {

@@ -8,32 +8,19 @@ import (
 	"medmaker/internal/trace"
 )
 
-// traceModes are the execution modes whose observability must agree: the
-// serial materialized executor, the parallel materialized executor, and
-// the pipelined executor.
-var traceModes = []struct {
-	name        string
-	parallelism int
-	pipeline    bool
-}{
-	{"serial", 1, false},
-	{"parallel", 4, false},
-	{"pipelined", 4, true},
-}
-
 // runTracedQ1 builds a fresh cached mediator in the given mode and
 // answers the paper's Q1 with tracing on. A fresh mediator per run keeps
 // the statistics store and the caches scoped to exactly this query, so
 // the trace's counts must equal theirs.
-func runTracedQ1(t *testing.T, parallelism int, pipeline bool) (*Mediator, *QueryResult, trace.Summary) {
+func runTracedQ1(t *testing.T, mode execMode) (*Mediator, *QueryResult, trace.Summary) {
 	t.Helper()
 	cs, whois := newPaperSources(t)
 	med, err := New(Config{
 		Name:        "med",
 		Spec:        specMS1,
 		Sources:     []Source{cs, whois},
-		Parallelism: parallelism,
-		Pipeline:    pipeline,
+		Parallelism: mode.parallel,
+		QueryBatch:  mode.batch,
 		Cache:       &CacheOptions{},
 	})
 	if err != nil {
@@ -58,9 +45,9 @@ func runTracedQ1(t *testing.T, parallelism int, pipeline bool) (*Mediator, *Quer
 func TestTraceAgreesWithEngineCounters(t *testing.T) {
 	var firstObjects []string
 	var firstRoot int64
-	for _, mode := range traceModes {
+	for _, mode := range engineModes {
 		t.Run(mode.name, func(t *testing.T) {
-			med, res, snap := runTracedQ1(t, mode.parallelism, mode.pipeline)
+			med, res, snap := runTracedQ1(t, mode)
 
 			// Phase segments partition the total exactly (contiguous
 			// boundary timestamps, not independent clock reads).
@@ -174,15 +161,15 @@ func TestTraceAgreesWithEngineCounters(t *testing.T) {
 // TestExplainAnalyzeRendering checks the rendered EXPLAIN ANALYZE form:
 // actual row counts, per-source exchange lines, and phase timings.
 func TestExplainAnalyzeRendering(t *testing.T) {
-	for _, mode := range traceModes {
+	for _, mode := range engineModes {
 		t.Run(mode.name, func(t *testing.T) {
 			cs, whois := newPaperSources(t)
 			med, err := New(Config{
 				Name:        "med",
 				Spec:        specMS1,
 				Sources:     []Source{cs, whois},
-				Parallelism: mode.parallelism,
-				Pipeline:    mode.pipeline,
+				Parallelism: mode.parallel,
+				QueryBatch:  mode.batch,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -198,6 +185,24 @@ func TestExplainAnalyzeRendering(t *testing.T) {
 				if !strings.Contains(out, want) {
 					t.Errorf("EXPLAIN ANALYZE output lacks %q:\n%s", want, out)
 				}
+			}
+			// A parameterized query fans out on the morsel scheduler in
+			// every mode — per-tuple exchanges as width-1 morsels, batched
+			// ones as exchange chunks plus extraction — so its stats line
+			// reports morsel and worker counts.
+			lines := strings.Split(out, "\n")
+			params := 0
+			for i, line := range lines {
+				if !strings.HasPrefix(strings.TrimSpace(line), "param-query(") || i+1 == len(lines) {
+					continue
+				}
+				params++
+				if stats := lines[i+1]; !strings.Contains(stats, "morsels=") || !strings.Contains(stats, "workers=") {
+					t.Errorf("param-query node reports no morsels/workers: %q", stats)
+				}
+			}
+			if params == 0 {
+				t.Errorf("EXPLAIN ANALYZE shows no param-query node:\n%s", out)
 			}
 		})
 	}

@@ -56,7 +56,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // TestExecutionModesMatchSequential is the differential check for the
-// batched/cached/pipelined executor: for every plan variant and every
+// batched/cached/parallel executor: for every plan variant and every
 // combination of the new knobs, results must be structurally identical to
 // the plain sequential per-tuple path, in the same order. Each cached
 // mediator runs its queries twice so the second pass exercises cache hits.
@@ -80,11 +80,11 @@ func TestExecutionModesMatchSequential(t *testing.T) {
 		{"batched+cached", func(o *PlanOptions) Config {
 			return Config{Plan: o, Cache: &CacheOptions{}}
 		}},
-		{"pipelined", func(o *PlanOptions) Config {
-			return Config{Plan: o, QueryBatch: 1, Pipeline: true, Parallelism: 8}
+		{"per-tuple+parallel", func(o *PlanOptions) Config {
+			return Config{Plan: o, QueryBatch: 1, Parallelism: 8}
 		}},
-		{"batched+cached+pipelined", func(o *PlanOptions) Config {
-			return Config{Plan: o, Cache: &CacheOptions{}, Pipeline: true, Parallelism: 8}
+		{"batched+cached+parallel", func(o *PlanOptions) Config {
+			return Config{Plan: o, Cache: &CacheOptions{}, Parallelism: 8}
 		}},
 	}
 	cs, whois, _ := scaledSources(t, 80)

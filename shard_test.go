@@ -16,7 +16,7 @@ import (
 
 // shardedStaffMediator builds a mediator over the 4-shard partitioned cs
 // and whois sources of s.
-func shardedStaffMediator(t *testing.T, s *workload.ShardedStaff, par int, pipeline bool, policy ExecPolicy) *Mediator {
+func shardedStaffMediator(t *testing.T, s *workload.ShardedStaff, mode execMode, policy ExecPolicy) *Mediator {
 	t.Helper()
 	csMembers := make([]Source, len(s.DBs))
 	for i, db := range s.DBs {
@@ -37,8 +37,8 @@ func shardedStaffMediator(t *testing.T, s *workload.ShardedStaff, par int, pipel
 	med, err := New(Config{
 		Name: "med", Spec: specMS1,
 		Sources:     []Source{csPart, whoisPart},
-		Parallelism: par,
-		Pipeline:    pipeline,
+		Parallelism: mode.parallel,
+		QueryBatch:  mode.batch,
 		Policy:      policy,
 	})
 	if err != nil {
@@ -82,10 +82,10 @@ func TestShardedMediatorDifferential(t *testing.T) {
 		want[q] = fmt.Sprint(canonicalize(objs))
 	}
 
-	for _, mode := range tierModes {
+	for _, mode := range engineModes {
 		mode := mode
 		t.Run(mode.name, func(t *testing.T) {
-			med := shardedStaffMediator(t, s, mode.par, mode.pipeline, ExecPolicy{})
+			med := shardedStaffMediator(t, s, mode, ExecPolicy{})
 			for _, q := range queries {
 				objs, err := med.QueryString(q)
 				if err != nil {

@@ -38,7 +38,7 @@ func TestSoakSharedMediator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mkMed := func(par int, pipeline bool) *Mediator {
+	mkMed := func(mode execMode) *Mediator {
 		med, err := New(Config{
 			Name: "med", Spec: specMS1,
 			Sources: []Source{
@@ -47,8 +47,8 @@ func TestSoakSharedMediator(t *testing.T) {
 			},
 			PlanCache:   &PlanCacheOptions{MaxEntries: 64},
 			Cache:       &CacheOptions{},
-			Parallelism: par,
-			Pipeline:    pipeline,
+			Parallelism: mode.parallel,
+			QueryBatch:  mode.batch,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -58,7 +58,7 @@ func TestSoakSharedMediator(t *testing.T) {
 	queries := soakQueries(staff)
 
 	// Single-client reference answers, computed on a serial mediator.
-	ref := mkMed(1, false)
+	ref := mkMed(engineModes[0])
 	want := make(map[string]string, len(queries))
 	for _, q := range queries {
 		objs, err := ref.QueryString(q)
@@ -68,21 +68,12 @@ func TestSoakSharedMediator(t *testing.T) {
 		want[q] = fmt.Sprint(canonicalize(objs))
 	}
 
-	modes := []struct {
-		name     string
-		par      int
-		pipeline bool
-	}{
-		{"serial", 1, false},
-		{"parallel", 4, false},
-		{"pipelined", 4, true},
-	}
 	const clients = 8
 	const iters = 25
-	for _, mode := range modes {
+	for _, mode := range engineModes {
 		mode := mode
 		t.Run(mode.name, func(t *testing.T) {
-			med := mkMed(mode.par, mode.pipeline)
+			med := mkMed(mode)
 			var wg sync.WaitGroup
 			errs := make(chan error, clients)
 			for c := 0; c < clients; c++ {
@@ -154,21 +145,12 @@ func TestSoakShardedTopology(t *testing.T) {
 		want[q] = fmt.Sprint(canonicalize(objs))
 	}
 
-	modes := []struct {
-		name     string
-		par      int
-		pipeline bool
-	}{
-		{"serial", 1, false},
-		{"parallel", 4, false},
-		{"pipelined", 4, true},
-	}
 	const clients = 8
 	const iters = 15
-	for _, mode := range modes {
+	for _, mode := range engineModes {
 		mode := mode
 		t.Run(mode.name, func(t *testing.T) {
-			med := shardedStaffMediator(t, s, mode.par, mode.pipeline, ExecPolicy{})
+			med := shardedStaffMediator(t, s, mode, ExecPolicy{})
 			var wg sync.WaitGroup
 			errs := make(chan error, clients)
 			for c := 0; c < clients; c++ {

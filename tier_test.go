@@ -16,17 +16,6 @@ import (
 // in every execution mode — and cross-tier plumbing (deadlines downward,
 // invalidation upward) must hold.
 
-// tierModes are the executor configurations the differential tests sweep.
-var tierModes = []struct {
-	name     string
-	par      int
-	pipeline bool
-}{
-	{"serial", 1, false},
-	{"parallel", 4, false},
-	{"pipelined", 4, true},
-}
-
 // passthroughSpec re-exports the lower tier's cs_person view unchanged.
 const passthroughSpec = `<cs_person {<name N> | R}> :- <cs_person {<name N> | R}>@sub.`
 
@@ -80,7 +69,7 @@ func TestTwoTierMediatorDifferential(t *testing.T) {
 		want[q] = fmt.Sprint(canonicalize(objs))
 	}
 
-	for _, mode := range tierModes {
+	for _, mode := range engineModes {
 		mode := mode
 		t.Run(mode.name, func(t *testing.T) {
 			sub, err := New(Config{
@@ -89,8 +78,8 @@ func TestTwoTierMediatorDifferential(t *testing.T) {
 					NewRelationalWrapper("cs", staff.DB),
 					NewRecordWrapper("whois", staff.Store),
 				},
-				Parallelism: mode.par,
-				Pipeline:    mode.pipeline,
+				Parallelism: mode.parallel,
+				QueryBatch:  mode.batch,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -98,8 +87,8 @@ func TestTwoTierMediatorDifferential(t *testing.T) {
 			top, err := New(Config{
 				Name: "med", Spec: passthroughSpec,
 				Sources:     []Source{sub},
-				Parallelism: mode.par,
-				Pipeline:    mode.pipeline,
+				Parallelism: mode.parallel,
+				QueryBatch:  mode.batch,
 			})
 			if err != nil {
 				t.Fatal(err)
