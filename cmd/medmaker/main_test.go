@@ -99,6 +99,22 @@ func TestCLILorelAndExplain(t *testing.T) {
 	}
 }
 
+// TestCLIExplainNegatedViewCondition: -explain prints a plan for every
+// query the mediator answers, including one negating a view condition,
+// which runs over the materialized view.
+func TestCLIExplainNegatedViewCondition(t *testing.T) {
+	spec, whois, cs := writeTestdata(t)
+	_, errOut, err := runCLI(t, "",
+		"-spec", spec, "-source", "whois="+whois, "-source", "cs="+cs, "-explain",
+		`P :- P:<person {<name N>}>@whois AND NOT <cs_person {<name N>}>@med.`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(errOut, "-- note:") || !strings.Contains(errOut, "matscan(_fusedview)") {
+		t.Errorf("explain of the fused-view strategy missing:\n%s", errOut)
+	}
+}
+
 func TestCLIJSONAndCSVSources(t *testing.T) {
 	spec, _, _ := writeTestdata(t)
 	dir := t.TempDir()

@@ -7,29 +7,58 @@ import (
 	"medmaker/internal/wrapper"
 )
 
-// MatExtent is one materialized view extent an executor may scan instead
-// of exchanging with sources: the view's label and its top-level objects.
-// The objects are shared with the materialization that produced them and
-// must be treated as immutable (the engine copies source material before
-// mutating it, so this holds throughout MedMaker).
+// MatExtent is an in-memory extent — a materialized view, the fused view,
+// the objects one insert added — registered under a source name for
+// planning. It answers what the planner asks of a source (capabilities,
+// label counts), and the planner turns every conjunct on it into a
+// MatScanNode that scans the objects in place; Query is never called.
+// The objects are shared with their producer and must be treated as
+// immutable (the engine copies source material before mutating it). They
+// are never looked up by oid, so objects may share one.
 type MatExtent struct {
+	// Source is the name queries address the extent by.
+	Source string
+	// View names the extent in plans: "matscan(View)".
 	View string
 	Objs []*oem.Object
 }
 
-// MatScanNode evaluates a query node's template against a materialized
-// view extent held in memory, instead of exchanging with a source. It
+var _ wrapper.Counter = MatExtent{}
+
+// Name implements wrapper.Source.
+func (e MatExtent) Name() string { return e.Source }
+
+// Capabilities implements wrapper.Source: the extent is OEM in memory.
+func (e MatExtent) Capabilities() wrapper.Capabilities { return wrapper.FullCapabilities() }
+
+// Query implements wrapper.Source, evaluating q the way MatScanNode does.
+func (e MatExtent) Query(q *msl.Rule) ([]*oem.Object, error) {
+	return wrapper.Eval(q, e.Objs, oem.NewIDGen(e.Source+"q"))
+}
+
+// CountLabel implements wrapper.Counter.
+func (e MatExtent) CountLabel(label string) (int, bool) {
+	n := 0
+	for _, o := range e.Objs {
+		if o.Label == label {
+			n++
+		}
+	}
+	return n, true
+}
+
+// MatScanNode evaluates a query node's template against an in-memory
+// extent (a MatExtent), instead of exchanging with a source. It
 // keeps QueryNode's full semantics — leaf or parameterized, negation as
 // anti-join, extraction under the input row, projection — but performs
 // zero source exchanges: nothing is recorded in the statistics store's
 // exchange counters, the trace's SourceStats, or the process metrics,
-// which is exactly the property materialization buys.
+// which is exactly the property materialization buys, and what keeps
+// delta rules and fused-view queries out of the real sources' statistics.
 type MatScanNode struct {
 	QueryNode
-	// View names the materialized view the extent came from.
-	View string
-	// Objs is the extent: the view's materialized top-level objects.
-	Objs []*oem.Object
+	// Extent is what the node scans in place of querying Source.
+	Extent MatExtent
 }
 
 // Label implements Node.
@@ -41,7 +70,7 @@ func (n *MatScanNode) Label() string {
 	if n.Negated {
 		kind = "anti-" + kind
 	}
-	return kind + "(" + n.View + ")"
+	return kind + "(" + n.Extent.View + ")"
 }
 
 func (n *MatScanNode) run(rs *runState, kids []*Table) (*Table, error) {
@@ -71,7 +100,7 @@ func (n *MatScanNode) run(rs *runState, kids []*Table) (*Table, error) {
 				}
 			}
 			var err error
-			objs, err = wrapper.Eval(q, n.Objs, rs.ex.IDGen)
+			objs, err = wrapper.Eval(q, n.Extent.Objs, rs.ex.IDGen)
 			if err != nil {
 				return nil, err
 			}
@@ -86,48 +115,4 @@ func (n *MatScanNode) run(rs *runState, kids []*Table) (*Table, error) {
 		}
 	}
 	return out, nil
-}
-
-// SubstituteMatScan rewrites the graph rooted at n, replacing every query
-// node whose source is one of the named extents with a MatScanNode over
-// that extent's objects. The rewrite happens after planning, so the
-// optimizer's ordering and pushdown decisions — made against the extent
-// facade's cardinalities — carry over; only the exchange mechanism
-// changes. Nodes are rewritten in place (the plan is single-use).
-func SubstituteMatScan(n Node, extents map[string]MatExtent) Node {
-	switch t := n.(type) {
-	case *QueryNode:
-		if t.Child != nil {
-			t.Child = SubstituteMatScan(t.Child, extents)
-		}
-		ext, ok := extents[t.Source]
-		if !ok {
-			return t
-		}
-		ms := &MatScanNode{QueryNode: *t, View: ext.View, Objs: ext.Objs}
-		if !ms.HasEst {
-			ms.EstRows, ms.HasEst = float64(len(ext.Objs)), true
-		}
-		return ms
-	case *MatScanNode:
-		if t.Child != nil {
-			t.Child = SubstituteMatScan(t.Child, extents)
-		}
-	case *ExtPredNode:
-		t.Child = SubstituteMatScan(t.Child, extents)
-	case *JoinNode:
-		t.Left = SubstituteMatScan(t.Left, extents)
-		t.Right = SubstituteMatScan(t.Right, extents)
-	case *DedupNode:
-		t.Child = SubstituteMatScan(t.Child, extents)
-	case *ConstructNode:
-		t.Child = SubstituteMatScan(t.Child, extents)
-	case *FuseNode:
-		t.Child = SubstituteMatScan(t.Child, extents)
-	case *UnionNode:
-		for i, in := range t.Inputs {
-			t.Inputs[i] = SubstituteMatScan(in, extents)
-		}
-	}
-	return n
 }

@@ -9,7 +9,9 @@
 // later queries from them when every mediator conjunct of the query is
 // contained in a materialized view head (veao.Covers): the extent then
 // holds all candidate objects, and evaluating the query over it is
-// answer-preserving while performing zero source exchanges.
+// answer-preserving while performing zero source exchanges. An extent is
+// the slice of objects the build answered, scanned in place by the
+// caller (engine.MatExtent): nothing here indexes or copies them.
 //
 // Freshness is managed per view: a TTL ages extents out, Invalidate
 // drops them by view label or by underlying source name, and a stale
@@ -27,12 +29,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"medmaker/internal/engine"
 	"medmaker/internal/metrics"
 	"medmaker/internal/msl"
 	"medmaker/internal/oem"
-	"medmaker/internal/oemstore"
 	"medmaker/internal/veao"
-	"medmaker/internal/wrapper"
 )
 
 // extentPrefix namespaces the source names extents are registered under,
@@ -87,8 +88,8 @@ type BuildFunc func(ctx context.Context, fetch *msl.Rule) ([]*oem.Object, bool, 
 // objects the mutation inserted, it returns the view objects the
 // insertion adds. The source itself has already been mutated, so the
 // implementation evaluates the fetch with the mutated source replaced by
-// a delta-only facade holding just the inserted objects, every other
-// source live — semi-naive evaluation's delta rule. incomplete reports a
+// an in-memory extent of just the inserted objects, every other source
+// live — semi-naive evaluation's delta rule. incomplete reports a
 // degraded evaluation; ok=false reports that the view's specification is
 // not delta-evaluable for this source (non-monotone rules, a source
 // joined with itself) and the caller must fall back to a full rebuild.
@@ -134,23 +135,13 @@ func (o Outcome) String() string {
 	}
 }
 
-// Extent is one servable materialized extent: a Source facade the
-// planner probes for cardinalities, plus the raw objects the engine's
-// MatScanNode evaluates over.
-type Extent struct {
-	View   string
-	Source wrapper.Source
-	Objs   []*oem.Object
-}
-
 // Served is a query rewritten to run over materialized extents: the
 // rewritten rule (mediator conjuncts retargeted to extent source names),
-// the extents by source name, and the carried-over degradation flag.
+// the extents it reads (shared with the manager: do not mutate their
+// objects), and the carried-over degradation flag.
 type Served struct {
 	Query   *msl.Rule
-	Extents map[string]Extent
-	// Views lists the labels of the views serving this query.
-	Views []string
+	Extents []engine.MatExtent
 	// Built reports that at least one extent was materialized
 	// synchronously for this query (a cold hit).
 	Built bool
@@ -191,10 +182,9 @@ type matView struct {
 	allSources bool
 
 	mu         sync.Mutex
-	src        *oemstore.Source // nil until first build
 	objs       []*oem.Object
 	incomplete bool
-	builtAt    time.Time
+	builtAt    time.Time // zero until the first build installs an extent
 	stale      bool
 	building   *buildFlight
 	// gen counts mutations applied (or attempted) against this view; a
@@ -407,7 +397,7 @@ func (m *Manager) Serve(ctx context.Context, q *msl.Rule) (*Served, Outcome, err
 		m.miss()
 		return nil, Miss, nil
 	}
-	served := &Served{Query: rewritten, Extents: make(map[string]Extent, len(views))}
+	served := &Served{Query: rewritten}
 	for _, v := range views {
 		ext, fresh, built, err := m.ensure(ctx, v)
 		if err != nil {
@@ -423,9 +413,10 @@ func (m *Manager) Serve(ctx context.Context, q *msl.Rule) (*Served, Outcome, err
 			return nil, Stale, nil
 		}
 		served.Built = served.Built || built
-		served.Views = append(served.Views, v.label)
 		served.Incomplete = served.Incomplete || ext.incomplete
-		served.Extents[ExtentSource(v.label)] = Extent{View: v.label, Source: ext.src, Objs: ext.objs}
+		served.Extents = append(served.Extents, engine.MatExtent{
+			Source: ExtentSource(v.label), View: v.label, Objs: ext.objs,
+		})
 	}
 	m.hits.Add(1)
 	m.reg.Counter("matview.hits").Inc()
@@ -448,7 +439,6 @@ func (m *Manager) covering(p *msl.ObjectPattern) *matView {
 
 // extentState is a consistent read of one view's extent.
 type extentState struct {
-	src        *oemstore.Source
 	objs       []*oem.Object
 	incomplete bool
 }
@@ -462,8 +452,8 @@ type extentState struct {
 // meanwhile keep being served, conservatively flagged Incomplete).
 func (m *Manager) ensure(ctx context.Context, v *matView) (st extentState, fresh, built bool, err error) {
 	v.mu.Lock()
-	if v.src != nil {
-		st = extentState{src: v.src, objs: v.objs, incomplete: v.incomplete}
+	if !v.builtAt.IsZero() {
+		st = extentState{objs: v.objs, incomplete: v.incomplete}
 		now := m.now()
 		fresh = !v.expiredLocked(now)
 		retry := fresh && st.incomplete && m.recover >= 0 &&
@@ -483,7 +473,7 @@ func (m *Manager) ensure(ctx context.Context, v *matView) (st extentState, fresh
 		return extentState{}, false, false, err
 	}
 	v.mu.Lock()
-	st = extentState{src: v.src, objs: v.objs, incomplete: v.incomplete}
+	st = extentState{objs: v.objs, incomplete: v.incomplete}
 	fresh = !v.expiredLocked(m.now())
 	v.mu.Unlock()
 	return st, fresh, true, nil
@@ -534,10 +524,6 @@ func (m *Manager) rebuild(ctx context.Context, v *matView) error {
 
 	start := time.Now()
 	objs, incomplete, err := m.build(ctx, v.fetchRule(m.mediator))
-	var src *oemstore.Source
-	if err == nil {
-		src, err = oemstore.FromObjects(ExtentSource(v.label), objs...)
-	}
 	m.reg.Histogram("matview.refresh_latency").Observe(time.Since(start))
 	v.mu.Lock()
 	if err == nil {
@@ -545,7 +531,7 @@ func (m *Manager) rebuild(ctx context.Context, v *matView) error {
 		for _, o := range objs {
 			dedup.Seen(o)
 		}
-		v.src, v.objs, v.incomplete, v.dedup = src, objs, incomplete, dedup
+		v.objs, v.incomplete, v.dedup = objs, incomplete, dedup
 		// A mutation that raced this build may predate what the build
 		// read: install the extent (it is the newest data available) but
 		// keep it stale so the next demand rebuilds once more.
@@ -613,7 +599,7 @@ func (m *Manager) Invalidate(name string) int {
 		}
 		v.mu.Lock()
 		v.gen++ // an in-flight rebuild must not install as fresh
-		if v.src != nil && !v.stale {
+		if !v.builtAt.IsZero() && !v.stale {
 			v.stale = true
 			n++
 		}
@@ -625,7 +611,7 @@ func (m *Manager) Invalidate(name string) int {
 // ApplyDelta maintains the extents that depend on source through one
 // mutation, instead of dropping them: an insert-only delta is evaluated
 // incrementally (the delta func runs the view's fetch with the mutated
-// source replaced by a facade holding just the inserted objects) and the
+// source replaced by an extent of just the inserted objects) and the
 // new answers are appended to the extent, structurally deduplicated
 // against what it already holds. Deletions, Incomplete extents,
 // non-delta-evaluable specs, evaluation failures, and races with
@@ -633,10 +619,7 @@ func (m *Manager) Invalidate(name string) int {
 // is marked stale and a background rebuild starts, exactly as before
 // change feeds existed. Unbuilt extents need nothing — a later build
 // reads the already-mutated source.
-//
-// It returns how many extents were delta-maintained and how many fell
-// back to a rebuild.
-func (m *Manager) ApplyDelta(ctx context.Context, source string, inserted, deleted []*oem.Object) (applied, fallbacks int) {
+func (m *Manager) ApplyDelta(ctx context.Context, source string, inserted, deleted []*oem.Object) {
 	for _, l := range m.labels {
 		v := m.views[l]
 		if !v.allSources && !v.deps[source] {
@@ -644,7 +627,7 @@ func (m *Manager) ApplyDelta(ctx context.Context, source string, inserted, delet
 		}
 		v.mu.Lock()
 		v.gen++
-		if v.src == nil || v.building != nil || v.stale {
+		if v.builtAt.IsZero() || v.building != nil || v.stale {
 			// Unbuilt: nothing to maintain. Building: the gen bump above
 			// makes the racing install come out stale, so the follow-up
 			// rebuild observes this mutation. Stale: a rebuild is already
@@ -654,7 +637,6 @@ func (m *Manager) ApplyDelta(ctx context.Context, source string, inserted, delet
 		}
 		if len(deleted) > 0 || v.incomplete || m.delta == nil {
 			m.fallbackLocked(v)
-			fallbacks++
 			continue
 		}
 		fetch := v.fetchRule(m.mediator)
@@ -664,10 +646,9 @@ func (m *Manager) ApplyDelta(ctx context.Context, source string, inserted, delet
 		v.mu.Lock()
 		if err != nil || !ok || incomplete {
 			m.fallbackLocked(v)
-			fallbacks++
 			continue
 		}
-		if v.src == nil || v.building != nil || v.stale {
+		if v.builtAt.IsZero() || v.building != nil || v.stale {
 			// A rebuild or invalidation intervened; it owns freshness now.
 			v.mu.Unlock()
 			continue
@@ -683,25 +664,11 @@ func (m *Manager) ApplyDelta(ctx context.Context, source string, inserted, delet
 			}
 		}
 		v.objs = append(v.objs, fresh...)
-		src := v.src
 		v.mu.Unlock()
-		if len(fresh) > 0 {
-			// The facade source accepts the new objects outside v.mu; the
-			// extent registry is only read by served plans, which tolerate
-			// (and want) the freshest extent.
-			if err := src.Add(fresh...); err != nil {
-				m.Invalidate(v.label)
-				m.countFallback()
-				fallbacks++
-				continue
-			}
-		}
-		applied++
 		m.deltas.Add(1)
 		m.reg.Counter("matview.delta.applied").Inc()
 		m.reg.Counter("matview.delta.objects").Add(int64(len(fresh)))
 	}
-	return applied, fallbacks
 }
 
 // fallbackLocked routes one mutation to the rebuild path: mark v stale,
@@ -710,11 +677,7 @@ func (m *Manager) ApplyDelta(ctx context.Context, source string, inserted, delet
 func (m *Manager) fallbackLocked(v *matView) {
 	v.stale = true
 	v.mu.Unlock()
-	m.countFallback()
-	m.refreshAsync(v)
-}
-
-func (m *Manager) countFallback() {
 	m.deltaFallbacks.Add(1)
 	m.reg.Counter("matview.delta.fallback").Inc()
+	m.refreshAsync(v)
 }

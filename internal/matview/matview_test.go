@@ -102,9 +102,11 @@ func TestServeHitAfterColdBuild(t *testing.T) {
 	if calls.Load() != 1 {
 		t.Fatalf("builds = %d, want 1", calls.Load())
 	}
-	ext, ok := sv.Extents[ExtentSource("cs_person")]
-	if !ok || len(ext.Objs) != 1 || ext.Source.Name() != ExtentSource("cs_person") {
-		t.Fatalf("extent = %+v", sv.Extents)
+	if len(sv.Extents) != 1 {
+		t.Fatalf("extents = %+v", sv.Extents)
+	}
+	if ext := sv.Extents[0]; ext.Source != ExtentSource("cs_person") || ext.View != "cs_person" || len(ext.Objs) != 1 {
+		t.Fatalf("extent = %+v", ext)
 	}
 	// The rewritten query must target the extent source.
 	pc := sv.Query.Tail[0].(*msl.PatternConjunct)

@@ -12,8 +12,10 @@ import (
 // what query the source is sent (pushing the conditions the source can
 // evaluate and parameterizing on the variables bound so far), while the
 // extraction step always re-matches the full original pattern, keeping the
-// plan correct whatever was pushed.
-func (p *Planner) queryNode(pc *msl.PatternConjunct, child engine.Node, bound map[string]bool, needed map[string]bool) (*engine.QueryNode, error) {
+// plan correct whatever was pushed. A conjunct on an in-memory extent
+// (engine.MatExtent) becomes a MatScanNode: the same query, scanned in
+// place with no exchange.
+func (p *Planner) queryNode(pc *msl.PatternConjunct, child engine.Node, bound map[string]bool, needed map[string]bool) (engine.Node, error) {
 	sent, paramVars, err := p.sendPattern(pc, bound, child != nil)
 	if err != nil {
 		return nil, err
@@ -60,6 +62,13 @@ func (p *Planner) queryNode(pc *msl.PatternConjunct, child engine.Node, bound ma
 			node.EstRows = est
 			node.HasEst = true
 		}
+	}
+	src, _ := p.sources.Lookup(pc.Source)
+	if ext, ok := src.(engine.MatExtent); ok {
+		if !node.HasEst {
+			node.EstRows, node.HasEst = float64(len(ext.Objs)), true
+		}
+		return &engine.MatScanNode{QueryNode: *node, Extent: ext}, nil
 	}
 	return node, nil
 }

@@ -389,6 +389,52 @@ func TestMatViewExplainAnalyze(t *testing.T) {
 	}
 }
 
+// TestMatViewConstantOIDHead: a view whose head carries a constant oid
+// gives every object the same oid. The extent holds the mediator's own
+// answers and is scanned without oid lookups, so it materializes and
+// serves like any other.
+func TestMatViewConstantOIDHead(t *testing.T) {
+	cs, whois := newPaperSources(t)
+	cfg := Config{
+		Name:    "med",
+		Spec:    `<&fixed view {<name N>}> :- <person {<name N>}>@whois.`,
+		Sources: []Source{cs, whois},
+	}
+	live, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Materialize = &MatViewOptions{Views: []MatView{{Label: "view"}}}
+	med, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := med.Refresh(context.Background(), ""); err != nil {
+		t.Fatal(err)
+	}
+	q, err := ParseQuery(`X :- X:<view {<name N>}>@med.`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := live.Query(q)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("live answer: %d objects, err=%v", len(want), err)
+	}
+	res, qt, err := med.QueryTraced(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap := qt.Snapshot(); snap.Annotations["matview.hit"] != 1 {
+		t.Fatalf("query not served from the extent: %v", snap.Annotations)
+	}
+	if got, wantKeys := canonicalize(res.Objects), canonicalize(want); strings.Join(got, "\n") != strings.Join(wantKeys, "\n") {
+		t.Fatalf("extent answers differ from live:\ngot:  %v\nwant: %v", got, wantKeys)
+	}
+	if s := med.MatViewStats(); s.RefreshErrors != 0 {
+		t.Fatalf("matview stats = %+v", s)
+	}
+}
+
 // TestMatViewRefreshWarmsExtent: an explicit Refresh builds the extent
 // ahead of traffic, so even the first query is a zero-exchange hit.
 func TestMatViewRefreshWarmsExtent(t *testing.T) {

@@ -1,6 +1,7 @@
 package medmaker
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"regexp"
@@ -717,6 +718,45 @@ func TestCrossFragmentConditions(t *testing.T) {
 	}
 	if len(wild) != 2 {
 		t.Fatalf("wildcard over fused view: %d answers", len(wild))
+	}
+}
+
+// TestFusedViewScansInPlace: the fused view is an in-memory extent the
+// query's plan scans, not a source: the analyzed plan shows a matscan,
+// and neither the trace nor the statistics store records an exchange
+// with it.
+func TestFusedViewScansInPlace(t *testing.T) {
+	salaries, offices := staffSources(t)
+	med, err := New(Config{Name: "staff", Spec: specFusedStaff, Sources: []Source{salaries, offices}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = `X :- X:<rec {<salary 120000> <room 'Gates 401'>}>@staff.`
+	out, err := med.ExplainAnalyze(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "matscan(_fusedview)") {
+		t.Errorf("ExplainAnalyze does not scan the fused view:\n%s", out)
+	}
+	rule, err := ParseQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, qt, err := med.QueryTraced(context.Background(), rule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Objects) != 1 {
+		t.Fatalf("%d answers, want 1", len(res.Objects))
+	}
+	for _, s := range qt.Snapshot().Sources {
+		if s.Name == "_fusedview" {
+			t.Errorf("trace records exchanges with the fused view: %+v", s)
+		}
+	}
+	if stats := med.QueryStats().String(); strings.Contains(stats, "_fusedview") {
+		t.Errorf("statistics learned about the fused view:\n%s", stats)
 	}
 }
 

@@ -363,6 +363,57 @@ func TestMatViewIncompleteRecovery(t *testing.T) {
 	}
 }
 
+// TestDeltaRecordsNoSourceStatistics: the delta rule scans the inserted
+// objects in place, so maintaining an extent through inserts leaves the
+// mutated source's learned statistics — cardinality estimate, exchange
+// count, latency — exactly as the last real exchange left them. These
+// feed join ordering, drift replans and replica scores.
+func TestDeltaRecordsNoSourceStatistics(t *testing.T) {
+	_, store, cs, whois := mutablePaperSources(t)
+	med, err := New(Config{
+		Name: "med", Spec: specMS1, Sources: []Source{cs, whois},
+		Materialize: &MatViewOptions{Views: []MatView{{Label: "cs_person"}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := med.Refresh(context.Background(), ""); err != nil {
+		t.Fatal(err)
+	}
+	stats := med.QueryStats()
+	obs := stats.Observations("whois", "person")
+	est, _ := stats.Estimate("whois", "person")
+	exchanges := stats.SourceExchanges("whois")
+	latency, _ := stats.SourceLatency("whois")
+	if obs == 0 || exchanges == 0 {
+		t.Fatalf("the build recorded nothing for whois: %d observations, %d exchanges", obs, exchanges)
+	}
+
+	const n = 5
+	for i := 0; i < n; i++ {
+		store.MustAdd(Record{Kind: "person", Fields: []RecordField{
+			{Name: "name", Value: fmt.Sprintf("Ann Alpha%d", i)},
+			{Name: "dept", Value: "CS"},
+			{Name: "relation", Value: "employee"},
+		}})
+	}
+	if s := med.MatViewStats(); s.Deltas != n || s.DeltaFallbacks != 0 {
+		t.Fatalf("matview stats after %d inserts = %+v", n, s)
+	}
+	if got := stats.Observations("whois", "person"); got != obs {
+		t.Errorf("whois@person observations: %d -> %d", obs, got)
+	}
+	if got, _ := stats.Estimate("whois", "person"); got != est {
+		t.Errorf("whois@person estimate: %.2f -> %.2f", est, got)
+	}
+	if got := stats.SourceExchanges("whois"); got != exchanges {
+		t.Errorf("whois exchanges: %d -> %d", exchanges, got)
+	}
+	if got, _ := stats.SourceLatency("whois"); got != latency {
+		t.Errorf("whois latency EWMA: %v -> %v", latency, got)
+	}
+}
+
 // mutPerson builds a whois person whose name splits into the
 // first_name/last_name pair of mutRelation(i, …), so inserted pairs join
 // through specMS1's decomp the same way randomPeople/randomRelations do.

@@ -136,6 +136,32 @@ func TestNegatedViewCondition(t *testing.T) {
 	}
 }
 
+// TestExplainNegatedViewCondition: Explain takes the same strategy as
+// Query, so a query Query answers through the materialized view also
+// explains: the note, the plan fetching the view, and the query's plan
+// scanning it.
+func TestExplainNegatedViewCondition(t *testing.T) {
+	med := newMed(t, nil)
+	const q = `P :- P:<person {<name N>}>@whois AND NOT <cs_person {<name N>}>@med.`
+	if _, err := med.QueryString(q); err != nil {
+		t.Fatal(err)
+	}
+	out, err := med.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"-- note:",
+		"param-query(cs)",                // the fetch plan
+		"@_fusedview",                    // the rewritten query
+		"anti-param-matscan(_fusedview)", // its plan over the view
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("Explain missing %q:\n%s", want, out)
+		}
+	}
+}
+
 // TestLacksBuiltin: "people without an e_mail" via the structural
 // builtin over a rest variable — negation of subobject existence within
 // one object.
