@@ -3,8 +3,11 @@ package medmaker
 import (
 	"fmt"
 	"testing"
+	"time"
 
+	"medmaker/internal/metrics"
 	"medmaker/internal/oem"
+	"medmaker/internal/remote"
 )
 
 // TestBatchedExchangeReduction asserts the tentpole claim of the batched
@@ -54,6 +57,60 @@ func TestBatchedExchangeReduction(t *testing.T) {
 	// every distinct parameterized query still reaches the source.
 	if pq, bq := perTuple.QueryStats().TotalQueries(), batched.QueryStats().TotalQueries(); bq > pq {
 		t.Fatalf("batched execution issued %d queries vs %d per-tuple", bq, pq)
+	}
+}
+
+// TestScanShipsBindRequests: the MS1 full-view scan over served sources
+// ships its parameterized cs probes as bind requests — the template text
+// once per batch plus binding tuples — and no MSL-text batches, and
+// answers exactly as the in-process mediator does.
+func TestScanShipsBindRequests(t *testing.T) {
+	cs, whois, _ := scaledSources(t, 200)
+	regs := map[string]*metrics.Registry{}
+	var served []Source
+	for _, src := range []Source{cs, whois} {
+		srv := remote.NewServer(src)
+		srv.Metrics = metrics.NewRegistry()
+		regs[src.Name()] = srv.Metrics
+		addr, err := srv.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		client, err := DialSource(addr, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { client.Close() })
+		served = append(served, client)
+	}
+	local, err := New(Config{Name: "med", Spec: specMS1, Sources: []Source{cs, whois}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wired, err := New(Config{Name: "med", Spec: specMS1, Sources: served})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := `P :- P:<cs_person {<name N>}>@med.`
+	want := mustQuery(t, local, q, 20)
+	got := mustQuery(t, wired, q, 20)
+	if len(got) != len(want) {
+		t.Fatalf("served sources answered %d objects, in process %d", len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].StructuralEqual(want[i]) {
+			t.Fatalf("result %d differs:\n%s\nvs\n%s", i, oem.Format(got[i]), oem.Format(want[i]))
+		}
+	}
+	snap := regs["cs"].Snapshot()
+	if b := snap.Counter("remote.requests.bind"); b < 1 {
+		t.Errorf("cs served %d bind requests, want at least one", b)
+	}
+	for name, reg := range regs {
+		if n := reg.Snapshot().Counter("remote.requests.batch"); n != 0 {
+			t.Errorf("%s served %d MSL-text batches, want none", name, n)
+		}
 	}
 }
 

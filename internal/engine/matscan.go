@@ -79,34 +79,27 @@ func (n *MatScanNode) run(rs *runState, kids []*Table) (*Table, error) {
 		inputRows = kids[0].Envs()
 	}
 	// Distinct instantiations share one local evaluation, mirroring the
-	// batched query path's deduplication; the shared memo keeps this scan
-	// serial (extents are typically small, the memo carries the savings).
-	memo := make(map[string][]*oem.Object)
+	// batched query path's deduplication; evaluation stays serial
+	// (extents are typically small, the dedup carries the savings).
+	qs, of, err := n.instantiate(inputRows)
+	if err != nil {
+		return nil, err
+	}
+	answers := make([][]*oem.Object, len(qs))
+	done := make([]bool, len(qs))
 	out := outTable(n.Needed)
 	for i, row := range inputRows {
 		if err := checkStride(rs, i); err != nil {
 			return nil, err
 		}
-		vals := n.paramVals(row)
-		key := n.paramKey(vals)
-		objs, done := memo[key]
-		if !done {
-			q := n.Send
-			if len(vals) > 0 {
-				var err error
-				q, err = msl.BindVars(n.Send, vals)
-				if err != nil {
-					return nil, err
-				}
-			}
-			var err error
-			objs, err = wrapper.Eval(q, n.Extent.Objs, rs.ex.IDGen)
-			if err != nil {
+		p := of[i]
+		if !done[p] {
+			if answers[p], err = wrapper.Eval(qs[p], n.Extent.Objs, rs.ex.IDGen); err != nil {
 				return nil, err
 			}
-			memo[key] = objs
+			done[p] = true
 		}
-		envs, err := n.extract(row, objs)
+		envs, err := n.extract(row, answers[p])
 		if err != nil {
 			return nil, err
 		}

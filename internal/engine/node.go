@@ -2,9 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"medmaker/internal/build"
@@ -54,6 +52,11 @@ type QueryNode struct {
 	Send *msl.Rule
 	// ParamVars names the template variables filled from input tuples.
 	ParamVars []string
+	// Template is Send compiled over ParamVars (msl.Compile), built once
+	// by the planner and cached with the plan; each probe binds it from
+	// the input row's value tuple. Nil compiles it per run (hand-built
+	// graphs).
+	Template *msl.Template
 	// Extract is matched against each returned top-level object, under
 	// the input row's environment, to produce output bindings.
 	Extract *msl.ObjectPattern
@@ -91,20 +94,11 @@ func (n *QueryNode) Label() string {
 
 // Detail implements Node, showing the template with $-marked parameters.
 func (n *QueryNode) Detail() string {
-	shown := n.Send
-	if len(n.ParamVars) > 0 {
-		params := map[string]bool{}
-		for _, p := range n.ParamVars {
-			params[p] = true
-		}
-		shown = n.Send.RenameVars(func(s string) string {
-			if params[s] {
-				return "$" + s
-			}
-			return s
-		})
+	tmpl, err := n.template()
+	if err != nil {
+		return n.Send.String()
 	}
-	return shown.String()
+	return tmpl.String()
 }
 
 // Kids implements Node.
@@ -124,7 +118,7 @@ func (n *QueryNode) run(rs *runState, kids []*Table) (*Table, error) {
 		return nil, fmt.Errorf("engine: unknown source %q", n.Source)
 	}
 	if len(kids) == 0 {
-		rows, err := n.runRow(rs, src, nil)
+		rows, err := n.runRow(rs, src, nil, n.Send)
 		if err != nil {
 			return nil, err
 		}
@@ -138,12 +132,27 @@ func (n *QueryNode) run(rs *runState, kids []*Table) (*Table, error) {
 		}
 		return tableFromEnvs(n.Needed, rows), nil
 	}
+	var tmpl *msl.Template
+	if len(n.ParamVars) > 0 {
+		var err error
+		if tmpl, err = n.template(); err != nil {
+			return nil, err
+		}
+	}
 	// One exchange per input tuple: each tuple is its own morsel, so the
 	// exchanges overlap across the workers; per-row results concatenate in
 	// input order, so parallel and serial runs agree exactly.
 	perRow := make([][]match.Env, len(inputRows))
 	if err := rs.runMorselsWidth(n, len(inputRows), 1, func(i, _, _ int) error {
-		rows, err := n.runRow(rs, src, inputRows[i])
+		q := n.Send
+		if tmpl != nil {
+			tuple := appendTuple(make([]oem.Value, 0, len(n.ParamVars)), n.ParamVars, inputRows[i])
+			var err error
+			if q, err = tmpl.Bind(tuple); err != nil {
+				return err
+			}
+		}
+		rows, err := n.runRow(rs, src, inputRows[i], q)
 		perRow[i] = rows
 		return err
 	}); err != nil {
@@ -197,18 +206,10 @@ func (n *QueryNode) querySource(rs *runState, src wrapper.Source, q *msl.Rule) (
 	return objs, false, nil
 }
 
-// runRow evaluates the node for one input tuple: instantiate the
-// template, query the source, extract bindings under the row environment,
+// runRow evaluates the node for one input tuple: query the source with
+// the row's instantiation q, extract bindings under the row environment,
 // and project.
-func (n *QueryNode) runRow(rs *runState, src wrapper.Source, row match.Env) ([]match.Env, error) {
-	q := n.Send
-	if vals := n.paramVals(row); len(vals) > 0 {
-		var err error
-		q, err = msl.BindVars(n.Send, vals)
-		if err != nil {
-			return nil, err
-		}
-	}
+func (n *QueryNode) runRow(rs *runState, src wrapper.Source, row match.Env, q *msl.Rule) ([]match.Env, error) {
 	// A skipped exchange extracts from an empty answer: a positive
 	// pattern yields no rows, a negated (anti-join) one passes the tuple
 	// through — absence assumed, not verified, which is why querySource
@@ -218,67 +219,6 @@ func (n *QueryNode) runRow(rs *runState, src wrapper.Source, row match.Env) ([]m
 		return nil, err
 	}
 	return n.extract(row, objs)
-}
-
-// paramVals collects the atomic bindings the input row supplies for the
-// template's parameter variables; set-bound and object-bound variables
-// stay free in the instantiated query.
-func (n *QueryNode) paramVals(row match.Env) map[string]oem.Value {
-	if len(n.ParamVars) == 0 {
-		return nil
-	}
-	vals := make(map[string]oem.Value, len(n.ParamVars))
-	for _, p := range n.ParamVars {
-		if b, bound := row.Lookup(p); bound {
-			if v, atomic := b.AsValue(); atomic {
-				if _, isSet := v.(oem.Set); !isSet {
-					vals[p] = v
-				}
-			}
-		}
-	}
-	return vals
-}
-
-// paramKey identifies the instantiated query an input row produces: two
-// rows with equal keys send byte-identical queries and can share one
-// source answer. The key covers exactly the values BindVars will
-// substitute, tagged with their concrete type so 3 and '3' stay distinct.
-func (n *QueryNode) paramKey(vals map[string]oem.Value) string {
-	if len(vals) == 0 {
-		return ""
-	}
-	// Hand-rolled formatting: this runs once per input row and fmt's
-	// reflection dominated the batched path's profile.
-	buf := make([]byte, 0, 48)
-	for _, p := range n.ParamVars {
-		v, ok := vals[p]
-		if !ok {
-			continue
-		}
-		buf = append(buf, p...)
-		buf = append(buf, '=')
-		switch v := v.(type) {
-		case oem.String:
-			buf = append(buf, 's', ':')
-			buf = append(buf, v...)
-		case oem.Int:
-			buf = append(buf, 'i', ':')
-			buf = strconv.AppendInt(buf, int64(v), 10)
-		case oem.Float:
-			buf = append(buf, 'f', ':')
-			buf = strconv.AppendFloat(buf, float64(v), 'g', -1, 64)
-		case oem.Bool:
-			buf = append(buf, 'b', ':')
-			buf = strconv.AppendBool(buf, bool(v))
-		default:
-			buf = append(buf, v.Kind().String()...)
-			buf = append(buf, ':')
-			buf = append(buf, v.String()...)
-		}
-		buf = append(buf, ';')
-	}
-	return string(buf)
 }
 
 // extract matches the source's answer against the extraction pattern
@@ -305,11 +245,6 @@ func (n *QueryNode) extract(row match.Env, objs []*oem.Object) ([]match.Env, err
 	return envs, nil
 }
 
-// answerSet is one distinct instantiated query's cached source answer.
-type answerSet struct {
-	objs []*oem.Object
-}
-
 // runBatched evaluates the node over rows with input-tuple deduplication
 // and batched source exchanges (the tentpole of Section 3.4 done
 // cheaply): rows that instantiate the template identically share one
@@ -319,28 +254,11 @@ type answerSet struct {
 // originating rows in input order, so the output is identical to the
 // per-tuple path against deterministic sources.
 func (n *QueryNode) runBatched(rs *runState, src wrapper.Source, rows []match.Env) ([]match.Env, error) {
-	keys := make([]string, len(rows))
-	var pendingKeys []string
-	pending := map[string]*msl.Rule{}
-	for i, row := range rows {
-		vals := n.paramVals(row)
-		key := n.paramKey(vals)
-		keys[i] = key
-		if _, queued := pending[key]; queued {
-			continue
-		}
-		q := n.Send
-		if len(vals) > 0 {
-			var err error
-			q, err = msl.BindVars(n.Send, vals)
-			if err != nil {
-				return nil, err
-			}
-		}
-		pending[key] = q
-		pendingKeys = append(pendingKeys, key)
+	qs, of, err := n.instantiate(rows)
+	if err != nil {
+		return nil, err
 	}
-	memo, err := n.fetchBatches(rs, src, pendingKeys, pending)
+	answers, err := n.fetchBatches(rs, src, qs)
 	if err != nil {
 		return nil, err
 	}
@@ -351,7 +269,7 @@ func (n *QueryNode) runBatched(rs *runState, src wrapper.Source, rows []match.En
 	if err := rs.runMorsels(n, len(rows), func(m, lo, hi int) error {
 		var part []match.Env
 		for i := lo; i < hi; i++ {
-			envs, err := n.extract(rows[i], memo[keys[i]].objs)
+			envs, err := n.extract(rows[i], answers[of[i]])
 			if err != nil {
 				return err
 			}
@@ -369,16 +287,15 @@ func (n *QueryNode) runBatched(rs *runState, src wrapper.Source, rows []match.En
 	return out, nil
 }
 
-// fetchBatches ships the pending distinct queries to the source, up to
+// fetchBatches ships the distinct queries to the source, up to
 // Executor.QueryBatch per exchange for batch-capable sources and one
 // exchange per query otherwise, applying the run's failure policy to
 // every exchange: a failed exchange's queries answer empty under
 // Skip/Partial instead of aborting the run. Each exchange is one morsel,
 // so independent exchanges run concurrently up to Executor.Parallelism;
-// answers land in the returned memo keyed by their instantiated query,
-// so exchange completion order never affects the output (extraction
-// replays the input-row order).
-func (n *QueryNode) fetchBatches(rs *runState, src wrapper.Source, keys []string, pending map[string]*msl.Rule) (map[string]*answerSet, error) {
+// answers[i] answers qs[i], so exchange completion order never affects
+// the output (extraction replays the input-row order).
+func (n *QueryNode) fetchBatches(rs *runState, src wrapper.Source, qs []*msl.Rule) ([][]*oem.Object, error) {
 	size := rs.ex.queryBatch()
 	canBatch := false
 	if _, ok := src.(wrapper.BatchQuerier); ok {
@@ -386,47 +303,29 @@ func (n *QueryNode) fetchBatches(rs *runState, src wrapper.Source, keys []string
 	} else if _, ok := src.(wrapper.ContextBatchQuerier); ok {
 		canBatch = true
 	}
-	var chunks [][]string
-	for start := 0; start < len(keys); start += size {
-		end := start + size
-		if end > len(keys) {
-			end = len(keys)
-		}
-		chunks = append(chunks, keys[start:end])
-	}
-	memo := make(map[string]*answerSet, len(keys))
-	var mu sync.Mutex
-	store := func(k string, a *answerSet) {
-		mu.Lock()
-		memo[k] = a
-		mu.Unlock()
-	}
-	err := rs.runMorselsWidth(n, len(chunks), 1, func(c, _, _ int) error {
-		return n.fetchChunk(rs, src, chunks[c], pending, canBatch, store)
+	answers := make([][]*oem.Object, len(qs))
+	chunks := (len(qs) + size - 1) / size
+	err := rs.runMorselsWidth(n, chunks, 1, func(c, _, _ int) error {
+		lo, hi := c*size, min((c+1)*size, len(qs))
+		return n.fetchChunk(rs, src, qs[lo:hi], answers[lo:hi], canBatch)
 	})
-	return memo, err
+	return answers, err
 }
 
-// fetchChunk performs one exchange's worth of queries: a single batched
-// exchange for batch-capable sources, one exchange per query otherwise.
-// Against a sharded source the chunk is regrouped per member shard first.
-func (n *QueryNode) fetchChunk(rs *runState, src wrapper.Source, chunk []string, pending map[string]*msl.Rule, canBatch bool, store func(string, *answerSet)) error {
+// fetchChunk performs one exchange's worth of queries, answering qs[i]
+// into out[i]: a single batched exchange for batch-capable sources, one
+// exchange per query otherwise. Against a sharded source the chunk is
+// regrouped per member shard first.
+func (n *QueryNode) fetchChunk(rs *runState, src wrapper.Source, qs []*msl.Rule, out [][]*oem.Object, canBatch bool) error {
 	if rep, ok := src.(wrapper.Replicated); ok {
-		return n.fetchChunkReplicated(rs, rep, chunk, pending, store)
+		return n.fetchChunkReplicated(rs, rep, qs, out)
 	}
 	if sh, ok := src.(wrapper.Sharded); ok {
-		return n.fetchChunkSharded(rs, sh, chunk, pending, store)
+		return n.fetchChunkSharded(rs, sh, qs, out)
 	}
-	if canBatch && len(chunk) > 1 {
+	if canBatch && len(qs) > 1 {
 		if rs.sourceDown(n.Source) {
-			for _, k := range chunk {
-				store(k, &answerSet{})
-			}
-			return nil
-		}
-		qs := make([]*msl.Rule, len(chunk))
-		for i, k := range chunk {
-			qs[i] = pending[k]
+			return nil // every answer stays empty
 		}
 		ctx, cancel := rs.sourceCtx(n)
 		batchStart := time.Now()
@@ -434,30 +333,24 @@ func (n *QueryNode) fetchChunk(rs *runState, src wrapper.Source, chunk []string,
 		elapsed := time.Since(batchStart)
 		cancel()
 		if err != nil {
-			if ferr := rs.sourceFailed(n.Source, err); ferr != nil {
-				return ferr
-			}
-			for _, k := range chunk {
-				store(k, &answerSet{})
-			}
-			return nil
+			return rs.sourceFailed(n.Source, err)
 		}
 		if len(res) != len(qs) {
 			return fmt.Errorf("engine: batch query to %s returned %d answers for %d queries", n.Source, len(res), len(qs))
 		}
-		rs.recordExchange(n, len(chunk), elapsed)
-		for i, k := range chunk {
-			store(k, &answerSet{objs: res[i]})
+		rs.recordExchange(n, len(qs), elapsed)
+		for i := range qs {
+			out[i] = res[i]
 			rs.ex.recordQuery(n, len(res[i]))
 		}
 		return nil
 	}
-	for _, k := range chunk {
-		objs, _, err := n.querySource(rs, src, pending[k])
+	for i, q := range qs {
+		objs, _, err := n.querySource(rs, src, q)
 		if err != nil {
 			return err
 		}
-		store(k, &answerSet{objs: objs})
+		out[i] = objs
 	}
 	return nil
 }

@@ -93,14 +93,11 @@ func (n *QueryNode) queryReplicas(rs *runState, rep wrapper.Replicated, q *msl.R
 // whole chunk ships as one exchange to the best-scored batch-capable
 // member, failing over member by member; if no batch-capable member
 // answers, the chunk degrades to per-query exchanges through
-// queryReplicas (which fails over on its own).
-func (n *QueryNode) fetchChunkReplicated(rs *runState, rep wrapper.Replicated, chunk []string, pending map[string]*msl.Rule, store func(string, *answerSet)) error {
+// queryReplicas (which fails over on its own). qs[i] is answered into
+// out[i].
+func (n *QueryNode) fetchChunkReplicated(rs *runState, rep wrapper.Replicated, qs []*msl.Rule, out [][]*oem.Object) error {
 	reg := metrics.Default()
-	if len(chunk) > 1 {
-		qs := make([]*msl.Rule, len(chunk))
-		for i, k := range chunk {
-			qs[i] = pending[k]
-		}
+	if len(qs) > 1 {
 		for _, m := range rankReplicas(rs.ex.Stats, rep.Replicas()) {
 			switch m.(type) {
 			case wrapper.ContextBatchQuerier, wrapper.BatchQuerier:
@@ -131,21 +128,21 @@ func (n *QueryNode) fetchChunkReplicated(rs *runState, rep wrapper.Replicated, c
 			}
 			reg.Counter("replica.exchanges").Inc()
 			reg.Counter("replica.routed." + m.Name()).Inc()
-			rs.recordExchange(n, len(chunk), elapsed)
+			rs.recordExchange(n, len(qs), elapsed)
 			rs.ex.recordLatency(m.Name(), elapsed)
-			for i, k := range chunk {
-				store(k, &answerSet{objs: res[i]})
+			for i := range qs {
+				out[i] = res[i]
 				rs.ex.recordQuery(n, len(res[i]))
 			}
 			return nil
 		}
 	}
-	for _, k := range chunk {
-		objs, _, err := n.queryReplicas(rs, rep, pending[k])
+	for i, q := range qs {
+		objs, _, err := n.queryReplicas(rs, rep, q)
 		if err != nil {
 			return err
 		}
-		store(k, &answerSet{objs: objs})
+		out[i] = objs
 	}
 	return nil
 }

@@ -88,86 +88,79 @@ func (n *QueryNode) queryMember(rs *runState, member wrapper.Source, q *msl.Rule
 // chunk's distinct queries regroup by target shard, each routed group
 // ships as one batched exchange to its member (when the member batches),
 // and unroutable queries scatter individually through queryShards.
-func (n *QueryNode) fetchChunkSharded(rs *runState, sh wrapper.Sharded, chunk []string, pending map[string]*msl.Rule, store func(string, *answerSet)) error {
+// qs[i] is answered into out[i].
+func (n *QueryNode) fetchChunkSharded(rs *runState, sh wrapper.Sharded, qs []*msl.Rule, out [][]*oem.Object) error {
 	members := sh.Members()
-	groups := make([][]string, len(members))
-	for _, k := range chunk {
-		if shard, ok := sh.ShardFor(pending[k]); ok {
-			groups[shard] = append(groups[shard], k)
+	groups := make([][]int, len(members))
+	for i, q := range qs {
+		if shard, ok := sh.ShardFor(q); ok {
+			groups[shard] = append(groups[shard], i)
 			continue
 		}
-		objs, _, err := n.queryShards(rs, sh, pending[k])
+		objs, _, err := n.queryShards(rs, sh, q)
 		if err != nil {
 			return err
 		}
-		store(k, &answerSet{objs: objs})
+		out[i] = objs
 	}
-	for shard, keys := range groups {
-		if len(keys) == 0 {
+	for shard, idx := range groups {
+		if len(idx) == 0 {
 			continue
 		}
-		if err := n.fetchMemberBatch(rs, members[shard], keys, pending, store); err != nil {
+		if err := n.fetchMemberBatch(rs, members[shard], qs, idx, out); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// fetchMemberBatch ships one routed group to its member shard — one
-// batched exchange when the member batches and the group has more than
-// one query, per-query exchanges otherwise.
-func (n *QueryNode) fetchMemberBatch(rs *runState, member wrapper.Source, keys []string, pending map[string]*msl.Rule, store func(string, *answerSet)) error {
+// fetchMemberBatch ships one routed group — the queries qs[i] for i in
+// idx — to its member shard: one batched exchange when the member
+// batches and the group has more than one query, per-query exchanges
+// otherwise.
+func (n *QueryNode) fetchMemberBatch(rs *runState, member wrapper.Source, qs []*msl.Rule, idx []int, out [][]*oem.Object) error {
 	reg := metrics.Default()
-	reg.Counter("shard.routed").Add(int64(len(keys)))
+	reg.Counter("shard.routed").Add(int64(len(idx)))
 	canBatch := false
 	switch member.(type) {
 	case wrapper.ContextBatchQuerier, wrapper.BatchQuerier:
 		canBatch = true
 	}
-	if !canBatch || len(keys) == 1 {
-		for _, k := range keys {
-			objs, _, err := n.queryMember(rs, member, pending[k])
+	if !canBatch || len(idx) == 1 {
+		for _, i := range idx {
+			objs, _, err := n.queryMember(rs, member, qs[i])
 			if err != nil {
 				return err
 			}
-			store(k, &answerSet{objs: objs})
+			out[i] = objs
 		}
 		return nil
 	}
 	if rs.sourceDown(member.Name()) {
-		for _, k := range keys {
-			store(k, &answerSet{})
-		}
-		return nil
+		return nil // every answer stays empty
 	}
-	qs := make([]*msl.Rule, len(keys))
-	for i, k := range keys {
-		qs[i] = pending[k]
+	group := make([]*msl.Rule, len(idx))
+	for j, i := range idx {
+		group[j] = qs[i]
 	}
 	ctx, cancel := rs.sourceCtx(n)
 	start := time.Now()
-	res, err := wrapper.QueryBatchContext(ctx, member, qs)
+	res, err := wrapper.QueryBatchContext(ctx, member, group)
 	elapsed := time.Since(start)
 	cancel()
 	if err != nil {
 		reg.Counter("shard.failures").Inc()
-		if ferr := rs.sourceFailed(member.Name(), err); ferr != nil {
-			return ferr
-		}
-		for _, k := range keys {
-			store(k, &answerSet{})
-		}
-		return nil
+		return rs.sourceFailed(member.Name(), err)
 	}
-	if len(res) != len(qs) {
+	if len(res) != len(group) {
 		return fmt.Errorf("engine: batch query to shard %s returned %d answers for %d queries",
-			member.Name(), len(res), len(qs))
+			member.Name(), len(res), len(group))
 	}
 	reg.Counter("shard.exchanges").Inc()
-	rs.recordExchange(n, len(keys), elapsed)
-	for i, k := range keys {
-		store(k, &answerSet{objs: res[i]})
-		rs.ex.recordQuery(n, len(res[i]))
+	rs.recordExchange(n, len(idx), elapsed)
+	for j, i := range idx {
+		out[i] = res[j]
+		rs.ex.recordQuery(n, len(res[j]))
 	}
 	return nil
 }

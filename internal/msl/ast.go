@@ -347,6 +347,8 @@ func (*Var) isHeadTerm()           {}
 type Rule struct {
 	Head []HeadTerm
 	Tail []Conjunct
+	// origin is set on rules Template.Bind instantiates (see Origin).
+	origin *origin
 }
 
 // String implements fmt.Stringer, printing the rule on one line with a

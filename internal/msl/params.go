@@ -1,103 +1,6 @@
 package msl
 
-import (
-	"fmt"
-	"sort"
-
-	"medmaker/internal/oem"
-)
-
-// SubstituteParams returns a copy of the rule with every $parameter
-// replaced by the corresponding constant — the step that turns a
-// parameterized query template (the paper's Qcs) into a concrete query
-// (Qc1, Qc2) for one tuple of the datamerge engine's input table. Missing
-// parameters are an error; unused values are ignored.
-func SubstituteParams(r *Rule, vals map[string]oem.Value) (*Rule, error) {
-	s := &paramSubst{vals: vals}
-	out := &Rule{}
-	for _, h := range r.Head {
-		switch t := h.(type) {
-		case *Var:
-			out.Head = append(out.Head, t)
-		case *ObjectPattern:
-			p, err := s.term(t)
-			if err != nil {
-				return nil, err
-			}
-			out.Head = append(out.Head, p.(*ObjectPattern))
-		}
-	}
-	for _, c := range r.Tail {
-		nc, err := s.conjunct(c)
-		if err != nil {
-			return nil, err
-		}
-		out.Tail = append(out.Tail, nc)
-	}
-	return out, nil
-}
-
-// BindVars returns a copy of the rule with every variable named in vals
-// replaced by the corresponding constant. The datamerge engine uses this
-// to instantiate a parameterized query from one input tuple: variables the
-// current row binds to atomic values become constants, and the rest stay
-// free. Variables in label positions must be bound to strings.
-func BindVars(r *Rule, vals map[string]oem.Value) (*Rule, error) {
-	// Reuse the parameter machinery: rewrite the chosen variables to
-	// parameters, then substitute.
-	marked := r.RenameVars(func(s string) string { return s })
-	rewriteVarsToParams(marked, vals)
-	return SubstituteParams(marked, vals)
-}
-
-func rewriteVarsToParams(r *Rule, vals map[string]oem.Value) {
-	var walkTerm func(t Term) Term
-	walkTerm = func(t Term) Term {
-		switch x := t.(type) {
-		case *Var:
-			if _, ok := vals[x.Name]; ok {
-				return &Param{Name: x.Name}
-			}
-			return x
-		case *Skolem:
-			for i, a := range x.Args {
-				x.Args[i] = walkTerm(a)
-			}
-		case *SetPattern:
-			for i, e := range x.Elems {
-				x.Elems[i] = walkTerm(e)
-			}
-			// Rest variables bind sets, never parameter constants.
-			for i, c := range x.RestConstraints {
-				x.RestConstraints[i] = walkTerm(c).(*ObjectPattern)
-			}
-		case *ObjectPattern:
-			if x.OID != nil {
-				x.OID = walkTerm(x.OID)
-			}
-			x.Label = walkTerm(x.Label)
-			if x.Value != nil {
-				x.Value = walkTerm(x.Value)
-			}
-		}
-		return t
-	}
-	for i, h := range r.Head {
-		if p, ok := h.(*ObjectPattern); ok {
-			r.Head[i] = walkTerm(p).(*ObjectPattern)
-		}
-	}
-	for _, c := range r.Tail {
-		switch t := c.(type) {
-		case *PatternConjunct:
-			t.Pattern = walkTerm(t.Pattern).(*ObjectPattern)
-		case *PredicateConjunct:
-			for i, a := range t.Args {
-				t.Args[i] = walkTerm(a)
-			}
-		}
-	}
-}
+import "sort"
 
 // Params returns the names of all $parameters in the rule, sorted.
 func Params(r *Rule) []string {
@@ -149,99 +52,4 @@ func Params(r *Rule) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-type paramSubst struct {
-	vals map[string]oem.Value
-}
-
-func (s *paramSubst) lookup(name string) (Term, error) {
-	v, ok := s.vals[name]
-	if !ok {
-		return nil, fmt.Errorf("msl: no value supplied for parameter $%s", name)
-	}
-	return &Const{Value: v}, nil
-}
-
-func (s *paramSubst) conjunct(c Conjunct) (Conjunct, error) {
-	switch t := c.(type) {
-	case *PatternConjunct:
-		p, err := s.term(t.Pattern)
-		if err != nil {
-			return nil, err
-		}
-		return &PatternConjunct{ObjVar: t.ObjVar, Pattern: p.(*ObjectPattern), Source: t.Source}, nil
-	case *PredicateConjunct:
-		out := &PredicateConjunct{Name: t.Name, Args: make([]Term, len(t.Args))}
-		for i, a := range t.Args {
-			na, err := s.term(a)
-			if err != nil {
-				return nil, err
-			}
-			out.Args[i] = na
-		}
-		return out, nil
-	}
-	return c, nil
-}
-
-func (s *paramSubst) term(t Term) (Term, error) {
-	switch x := t.(type) {
-	case nil:
-		return nil, nil
-	case *Param:
-		return s.lookup(x.Name)
-	case *Var, *Const:
-		return x, nil
-	case *Skolem:
-		out := &Skolem{Functor: x.Functor, Args: make([]Term, len(x.Args))}
-		for i, a := range x.Args {
-			na, err := s.term(a)
-			if err != nil {
-				return nil, err
-			}
-			out.Args[i] = na
-		}
-		return out, nil
-	case *SetPattern:
-		out := &SetPattern{Rest: x.Rest}
-		for _, e := range x.Elems {
-			ne, err := s.term(e)
-			if err != nil {
-				return nil, err
-			}
-			out.Elems = append(out.Elems, ne)
-		}
-		for _, c := range x.RestConstraints {
-			nc, err := s.term(c)
-			if err != nil {
-				return nil, err
-			}
-			out.RestConstraints = append(out.RestConstraints, nc.(*ObjectPattern))
-		}
-		return out, nil
-	case *ObjectPattern:
-		out := &ObjectPattern{Wildcard: x.Wildcard, Type: x.Type}
-		var err error
-		if x.OID != nil {
-			if out.OID, err = s.term(x.OID); err != nil {
-				return nil, err
-			}
-		}
-		if out.Label, err = s.term(x.Label); err != nil {
-			return nil, err
-		}
-		if lc, ok := out.Label.(*Const); ok {
-			if _, isStr := lc.Value.(oem.String); !isStr {
-				return nil, fmt.Errorf("msl: parameter in label position must be a string, got %s", lc.Value)
-			}
-		}
-		if x.Value != nil {
-			if out.Value, err = s.term(x.Value); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("msl: unsupported term %T in parameter substitution", t)
 }

@@ -32,11 +32,20 @@ func (p *Planner) queryNode(pc *msl.PatternConjunct, child engine.Node, bound ma
 		Tail: []msl.Conjunct{&msl.PatternConjunct{ObjVar: ov, Pattern: sent, Source: pc.Source}},
 	}
 
+	var tmpl *msl.Template
+	if len(paramVars) > 0 {
+		// Compiled once here and cached with the plan: every probe of
+		// every execution binds it from a value tuple.
+		if tmpl, err = msl.Compile(send, paramVars); err != nil {
+			return nil, err
+		}
+	}
 	node := &engine.QueryNode{
 		Child:         child,
 		Source:        pc.Source,
 		Send:          send,
 		ParamVars:     paramVars,
+		Template:      tmpl,
 		Extract:       pc.Pattern,
 		ExtractObjVar: pc.ObjVar,
 		Negated:       pc.Negated,

@@ -152,13 +152,20 @@ func (c *Client) QueryBatch(qs []*msl.Rule) ([][]*oem.Object, error) {
 }
 
 // QueryBatchContext implements wrapper.ContextBatchQuerier: QueryBatch
-// bounded by ctx the same way QueryContext is.
+// bounded by ctx the same way QueryContext is. A batch bound from one
+// template (the engine's parameterized probes) travels as a bind request
+// — the template text once, then only the binding tuples — and any other
+// batch as MSL texts.
 func (c *Client) QueryBatchContext(ctx context.Context, qs []*msl.Rule) ([][]*oem.Object, error) {
-	texts := make([]string, len(qs))
-	for i, q := range qs {
-		texts[i] = q.String()
+	req, ok := bindRequest(qs)
+	if !ok {
+		texts := make([]string, len(qs))
+		for i, q := range qs {
+			texts[i] = q.String()
+		}
+		req = Request{Kind: reqBatch, Queries: texts}
 	}
-	resp, err := c.roundTrip(ctx, Request{Kind: reqBatch, Queries: texts})
+	resp, err := c.roundTrip(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -170,6 +177,31 @@ func (c *Client) QueryBatchContext(ctx context.Context, qs []*msl.Rule) ([][]*oe
 			c.name, len(resp.Batches), len(qs))
 	}
 	return resp.Batches, nil
+}
+
+// bindRequest packs qs as one bind request when every rule was bound
+// from the same template and every tuple has an atom encoding.
+func bindRequest(qs []*msl.Rule) (Request, bool) {
+	if len(qs) == 0 {
+		return Request{}, false
+	}
+	tmpl, _, ok := qs[0].Origin()
+	if !ok {
+		return Request{}, false
+	}
+	tuples := make([][]oem.Value, len(qs))
+	for i, q := range qs {
+		t, tuple, ok := q.Origin()
+		if !ok || t != tmpl {
+			return Request{}, false
+		}
+		tuples[i] = tuple
+	}
+	data, err := encodeTuples(len(tmpl.Slots()), tuples)
+	if err != nil {
+		return Request{}, false
+	}
+	return Request{Kind: reqBind, Template: tmpl.Text(), Slots: tmpl.Slots(), Tuples: data}, true
 }
 
 // Metrics scrapes the server process's metrics registry: request counts

@@ -177,22 +177,6 @@ func (e *encoder) write(o *oem.Object) {
 		e.buf = binary.AppendUvarint(e.buf, uint64(i+1))
 	}
 	switch v := o.Value.(type) {
-	case oem.String:
-		e.buf = binary.AppendUvarint(e.buf, uint64(len(v)))
-		e.buf = append(e.buf, v...)
-	case oem.Int:
-		e.buf = binary.AppendVarint(e.buf, int64(v))
-	case oem.Float:
-		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(float64(v)))
-	case oem.Bool:
-		if v {
-			e.buf = append(e.buf, 1)
-		} else {
-			e.buf = append(e.buf, 0)
-		}
-	case oem.Bytes:
-		e.buf = binary.AppendUvarint(e.buf, uint64(len(v)))
-		e.buf = append(e.buf, v...)
 	case oem.Set:
 		e.buf = binary.AppendUvarint(e.buf, uint64(len(v)))
 		for _, sub := range v {
@@ -200,7 +184,33 @@ func (e *encoder) write(o *oem.Object) {
 		}
 	case nil:
 		e.buf = append(e.buf, 0)
+	default:
+		e.buf = appendAtom(e.buf, v)
 	}
+}
+
+// appendAtom appends an atomic value's encoding; v must be a String,
+// Int, Float, Bool or Bytes.
+func appendAtom(buf []byte, v oem.Value) []byte {
+	switch v := v.(type) {
+	case oem.String:
+		buf = binary.AppendUvarint(buf, uint64(len(v)))
+		buf = append(buf, v...)
+	case oem.Int:
+		buf = binary.AppendVarint(buf, int64(v))
+	case oem.Float:
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(float64(v)))
+	case oem.Bool:
+		if v {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
+		}
+	case oem.Bytes:
+		buf = binary.AppendUvarint(buf, uint64(len(v)))
+		buf = append(buf, v...)
+	}
+	return buf
 }
 
 // decoder reads one payload. The payload is copied once into s — gob
@@ -348,39 +358,118 @@ func (d *decoder) object(depth int) *oem.Object {
 	kind := oem.Kind(d.byte())
 	o.OID = oem.OID(d.str())
 	o.Label = d.label()
-	switch kind {
-	case oem.KindSet:
+	if kind == oem.KindSet {
 		o.Value = oem.Set(d.list(depth + 1))
+	} else {
+		o.Value = d.atom(kind)
+	}
+	return o
+}
+
+// atom reads an atomic value of the given kind.
+func (d *decoder) atom(kind oem.Kind) oem.Value {
+	switch kind {
 	case oem.KindString:
-		o.Value = oem.String(d.str())
+		return oem.String(d.str())
 	case oem.KindInt:
 		u := d.uvarint()
-		o.Value = oem.Int(int64(u>>1) ^ -int64(u&1))
+		return oem.Int(int64(u>>1) ^ -int64(u&1))
 	case oem.KindFloat:
 		if d.err == nil && len(d.s)-d.pos < 8 {
 			d.fail("truncated real at byte %d", d.pos)
 		}
-		if d.err == nil {
-			var u uint64
-			for i := 7; i >= 0; i-- {
-				u = u<<8 | uint64(d.s[d.pos+i])
-			}
-			d.pos += 8
-			o.Value = oem.Float(math.Float64frombits(u))
+		if d.err != nil {
+			return nil
 		}
+		var u uint64
+		for i := 7; i >= 0; i-- {
+			u = u<<8 | uint64(d.s[d.pos+i])
+		}
+		d.pos += 8
+		return oem.Float(math.Float64frombits(u))
 	case oem.KindBool:
 		switch d.byte() {
 		case 0:
-			o.Value = oem.Bool(false)
+			return oem.Bool(false)
 		case 1:
-			o.Value = oem.Bool(true)
-		default:
-			d.fail("bad boolean at byte %d", d.pos-1)
+			return oem.Bool(true)
 		}
+		d.fail("bad boolean at byte %d", d.pos-1)
 	case oem.KindBytes:
-		o.Value = oem.Bytes(d.str())
+		return oem.Bytes(d.str())
 	default:
 		d.fail("unknown value kind %d at byte %d", kind, d.pos)
 	}
-	return o
+	return nil
+}
+
+// The tuple codec carries a bind request's binding tuples, each value in
+// the answer codec's atom encoding:
+//
+//	tuples := uvarint(arity) uvarint(#tuples) slot*    #tuples × arity slots
+//	slot   := 0                                        a free slot
+//	        | kind+1:byte atom                         a bound slot
+//	atom   := bytes (KindString, KindBytes) | zigzag varint (KindInt)
+//	        | 8 bytes little-endian IEEE 754 (KindFloat) | 0 or 1 (KindBool)
+//
+// Every slot takes at least one byte, so the decoder bounds the declared
+// tuple count by the payload before allocating.
+
+// encodeTuples encodes tuples of the given arity. Set values have no
+// encoding: a tuple carrying one fails, and the caller ships text.
+func encodeTuples(arity int, tuples [][]oem.Value) ([]byte, error) {
+	buf := binary.AppendUvarint(nil, uint64(arity))
+	buf = binary.AppendUvarint(buf, uint64(len(tuples)))
+	for _, tuple := range tuples {
+		if len(tuple) != arity {
+			return nil, fmt.Errorf("%w: tuple of %d values for arity %d", errCodec, len(tuple), arity)
+		}
+		for _, v := range tuple {
+			switch v.(type) {
+			case nil:
+				buf = append(buf, 0)
+			case oem.String, oem.Int, oem.Float, oem.Bool, oem.Bytes:
+				buf = append(buf, byte(v.Kind())+1)
+				buf = appendAtom(buf, v)
+			default:
+				return nil, fmt.Errorf("%w: unsupported tuple value %T", errCodec, v)
+			}
+		}
+	}
+	return buf, nil
+}
+
+// decodeTuples decodes a tuple payload whose arity must be the given
+// one; the tuples share one slab of values.
+func decodeTuples(data []byte, arity int) ([][]oem.Value, error) {
+	d := decoder{s: string(data)}
+	if a := d.uvarint(); d.err == nil && (arity < 1 || a != uint64(arity)) {
+		return nil, fmt.Errorf("%w: tuples of arity %d for %d slots", errCodec, a, arity)
+	}
+	n := d.count(max(arity, 1))
+	if d.err != nil {
+		return nil, d.err
+	}
+	vals := make([]oem.Value, n*arity)
+	tuples := make([][]oem.Value, n)
+	for i := range tuples {
+		tuple := vals[i*arity : (i+1)*arity : (i+1)*arity]
+		for j := range tuple {
+			switch tag := d.byte(); {
+			case tag == 0:
+			case tag == byte(oem.KindSet)+1:
+				d.fail("set value in tuple slot at byte %d", d.pos-1)
+			default:
+				tuple[j] = d.atom(oem.Kind(tag - 1))
+			}
+		}
+		if d.err != nil {
+			return nil, d.err
+		}
+		tuples[i] = tuple
+	}
+	if d.pos != len(d.s) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", errCodec, len(d.s)-d.pos)
+	}
+	return tuples, nil
 }

@@ -351,7 +351,7 @@ func (s *Server) dispatch(req Request) Response {
 	reg := s.registry()
 	kind := req.Kind
 	switch kind {
-	case reqHello, reqQuery, reqCount, reqBatch, reqMetrics:
+	case reqHello, reqQuery, reqCount, reqBatch, reqBind, reqMetrics:
 	default:
 		kind = "unknown"
 	}
@@ -399,10 +399,6 @@ func (s *Server) dispatchKind(req Request) Response {
 		}
 		return Response{Objects: objs}
 	case reqBatch:
-		// One exchange carrying several queries — the server side of
-		// wrapper.BatchQuerier. The inner source answers them in one call
-		// when it can batch itself (a chain of remote hops collapses into
-		// one exchange per hop), otherwise query by query.
 		rules := make([]*msl.Rule, len(req.Queries))
 		for i, text := range req.Queries {
 			rule, err := msl.ParseQuery(text)
@@ -411,18 +407,68 @@ func (s *Server) dispatchKind(req Request) Response {
 			}
 			rules[i] = rule
 		}
-		ctx, cancel := reqContext(req)
-		results, err := wrapper.QueryBatchContext(ctx, s.source, rules)
-		cancel()
+		return s.queryBatch(req, rules)
+	case reqBind:
+		rules, err := bindRules(req)
 		if err != nil {
-			resp := Response{Err: err.Error(), CtxErr: ctxErrKind(err)}
-			var ue *wrapper.UnsupportedError
-			if errors.As(err, &ue) {
-				resp.Unsupported = ue.Feature
-			}
-			return resp
+			return Response{Err: err.Error()}
 		}
-		return Response{Batches: results}
+		return s.queryBatch(req, rules)
 	}
 	return Response{Err: fmt.Sprintf("remote: unknown request kind %q", req.Kind)}
+}
+
+// queryBatch answers several queries in one exchange — the server side
+// of wrapper.BatchQuerier. The inner source answers them in one call
+// when it can batch itself (a chain of remote hops collapses into one
+// exchange per hop, bound rules staying bind requests), otherwise query
+// by query.
+func (s *Server) queryBatch(req Request, rules []*msl.Rule) Response {
+	ctx, cancel := reqContext(req)
+	results, err := wrapper.QueryBatchContext(ctx, s.source, rules)
+	cancel()
+	if err != nil {
+		resp := Response{Err: err.Error(), CtxErr: ctxErrKind(err)}
+		var ue *wrapper.UnsupportedError
+		if errors.As(err, &ue) {
+			resp.Unsupported = ue.Feature
+		}
+		return resp
+	}
+	return Response{Batches: results}
+}
+
+// maxBindCopy bounds a bind request's amplification: binding may copy at
+// most this many template nodes per byte of template text and tuples, so
+// a short request naming a large template cannot make the server
+// allocate out of proportion to what it was sent.
+const maxBindCopy = 16
+
+// bindRules parses a bind request's template once and binds every tuple
+// it carries. The tuples are checked against the slots (arity, value
+// tags, and a count the payload can hold) before anything is bound.
+func bindRules(req Request) ([]*msl.Rule, error) {
+	rule, err := msl.ParseQuery(req.Template)
+	if err != nil {
+		return nil, err
+	}
+	tmpl, err := msl.Compile(rule, req.Slots)
+	if err != nil {
+		return nil, err
+	}
+	tuples, err := decodeTuples(req.Tuples, len(req.Slots))
+	if err != nil {
+		return nil, err
+	}
+	payload := len(req.Template) + len(req.Tuples)
+	if copies := len(tuples) * (tmpl.Nodes() + 1); copies > maxBindCopy*payload {
+		return nil, fmt.Errorf("remote: bind request would copy %d template nodes for %d bytes", copies, payload)
+	}
+	rules := make([]*msl.Rule, len(tuples))
+	for i, tuple := range tuples {
+		if rules[i], err = tmpl.Bind(tuple); err != nil {
+			return nil, err
+		}
+	}
+	return rules, nil
 }

@@ -28,6 +28,7 @@ const (
 	reqQuery   = "query"   // evaluate the MSL text in Query
 	reqCount   = "count"   // count top-level objects with Label
 	reqBatch   = "batch"   // evaluate every MSL text in Queries, one exchange
+	reqBind    = "bind"    // bind Template once per tuple in Tuples, one exchange
 	reqMetrics = "metrics" // scrape the server's metrics registry
 )
 
@@ -35,10 +36,11 @@ const (
 // after the unframed hello, every message is a frame carrying an ID,
 // requests may be pipelined, and responses return in completion order —
 // one shared connection serves concurrent callers. Version 1 was an
-// unframed lockstep protocol and version 2 carried answers as gob-reflected
-// object trees; neither is spoken any more, and a peer offering or
-// accepting anything but ProtoFramed is refused at the hello.
-const ProtoFramed = 3
+// unframed lockstep protocol, version 2 carried answers as gob-reflected
+// object trees, and version 3 had no bind request; none is spoken any
+// more, and a peer offering or accepting anything but ProtoFramed is
+// refused at the hello.
+const ProtoFramed = 4
 
 // Request is one client→server message.
 type Request struct {
@@ -46,6 +48,13 @@ type Request struct {
 	Query   string   // MSL text for reqQuery
 	Label   string   // label for reqCount
 	Queries []string // MSL texts for reqBatch
+	// Template, Slots and Tuples are a reqBind: the MSL text of a
+	// parameterized query, its slot variables, and the binding tuples in
+	// the tuple codec (see encodeTuples). The server parses the template
+	// once and answers one result set per tuple, in order.
+	Template string
+	Slots    []string
+	Tuples   []byte
 	// TimeoutMillis, when positive, is the client's remaining deadline
 	// budget for this request; the server bounds its own evaluation by it
 	// so work whose answer the client will discard is abandoned early.
@@ -76,8 +85,8 @@ type Response struct {
 	Caps wrapper.Capabilities
 	// Objects answer a query.
 	Objects Answers
-	// Batches answer a batch request, one result set per query, in
-	// request order.
+	// Batches answer a batch or bind request, one result set per query
+	// or tuple, in request order.
 	Batches AnswerBatches
 	// Count and CountOK answer a count request (CountOK is false when
 	// the remote source cannot count cheaply).

@@ -10,6 +10,7 @@
 package wrappertest
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -44,7 +45,11 @@ func Conformance(t TB, src wrapper.Source, export []*oem.Object) {
 //     evaluator's answers over export;
 //   - a query the advertised capabilities reject must fail with a
 //     *wrapper.UnsupportedError — or, if the source answers anyway, the
-//     answers must still be correct.
+//     answers must still be correct;
+//   - the supported queries sent as one batch must answer the same;
+//   - no query may be modified by answering it. The probes include rules
+//     bound from an msl.Template, which share their unbound subtrees with
+//     the template the way the engine's parameterized probes do.
 func Check(src wrapper.Source, export []*oem.Object) []error {
 	var errs []error
 	probes, err := buildProbes(src.Name(), export)
@@ -52,9 +57,13 @@ func Check(src wrapper.Source, export []*oem.Object) []error {
 		return []error{err}
 	}
 	refGen := oem.NewIDGen("wrappertest_ref")
+	var batch []probe
 	for _, p := range probes {
 		supported := wrapper.CheckCapabilities(p.rule, src.Capabilities(), src.Name()) == nil
 		got, qerr := src.Query(p.rule)
+		if err := p.unchanged("Query"); err != nil {
+			errs = append(errs, err)
+		}
 		if !supported {
 			if qerr == nil {
 				// Answering beyond the advertised capabilities is
@@ -75,6 +84,25 @@ func Check(src wrapper.Source, export []*oem.Object) []error {
 		}
 		if err := compare(p, got, export, refGen); err != nil {
 			errs = append(errs, err)
+		}
+		batch = append(batch, p)
+	}
+	qs := make([]*msl.Rule, len(batch))
+	for i, p := range batch {
+		qs[i] = p.rule
+	}
+	results, err := wrapper.QueryBatchContext(context.Background(), src, qs)
+	for _, p := range batch {
+		if err := p.unchanged("QueryBatch"); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	if err != nil {
+		return append(errs, fmt.Errorf("batch of the supported probes failed: %v", err))
+	}
+	for i, p := range batch {
+		if err := compare(p, results[i], export, refGen); err != nil {
+			errs = append(errs, fmt.Errorf("in a batch: %w", err))
 		}
 	}
 	return errs
@@ -97,6 +125,25 @@ func unwrapUnsupported(err error) (*wrapper.UnsupportedError, bool) {
 type probe struct {
 	name string
 	rule *msl.Rule
+	// text is the rule as built; shared is the template a bound rule
+	// shares subtrees with, and sharedText that template as built.
+	text       string
+	shared     *msl.Template
+	sharedText string
+}
+
+// unchanged reports a probe that answering through method modified.
+func (p probe) unchanged(method string) error {
+	if p.shared != nil {
+		if got := p.shared.Rule().String(); got != p.sharedText {
+			return fmt.Errorf("%s: %s modified the template the query was bound from: %s became %s",
+				p.name, method, p.sharedText, got)
+		}
+	}
+	if got := p.rule.String(); got != p.text {
+		return fmt.Errorf("%s: %s modified the query: sent %s, left %s", p.name, method, p.text, got)
+	}
+	return nil
 }
 
 // buildProbes derives capability-typed queries from the extent: it picks
@@ -113,7 +160,7 @@ func buildProbes(srcName string, export []*oem.Object) ([]probe, error) {
 		if err != nil {
 			return probe{}, fmt.Errorf("wrappertest: bad %s probe %q: %w", name, text, err)
 		}
-		return probe{name: name, rule: r}, nil
+		return probe{name: name, rule: r, text: r.String()}, nil
 	}
 	specs := []struct{ name, text string }{
 		{"plain fetch",
@@ -132,13 +179,37 @@ func buildProbes(srcName string, export []*oem.Object) ([]probe, error) {
 			fmt.Sprintf(`<out {<a A> <b B>}> :- <%s {<%s A>}>@%s AND <%s {<%s B>}>@%s.`,
 				label, kids[0].Label, srcName, label, kids[1].Label, srcName)},
 	}
-	probes := make([]probe, 0, len(specs))
+	probes := make([]probe, 0, len(specs)+2)
 	for _, s := range specs {
 		p, err := mk(s.name, s.text)
 		if err != nil {
 			return nil, err
 		}
 		probes = append(probes, p)
+	}
+	// Parameterized probes: one template, bound twice — once with the
+	// value condition, once leaving the slot free.
+	tp, err := mk("template", fmt.Sprintf(`P :- P:<%s {<%s X> <%s Y>}>@%s.`,
+		label, kids[0].Label, kids[1].Label, srcName))
+	if err != nil {
+		return nil, err
+	}
+	tmpl, err := msl.Compile(tp.rule, []string{"X", "Y"})
+	if err != nil {
+		return nil, err
+	}
+	for _, b := range []struct {
+		name  string
+		tuple []oem.Value
+	}{
+		{"bound value condition", []oem.Value{kids[0].Value, nil}},
+		{"bound, all slots free", []oem.Value{nil, nil}},
+	} {
+		r, err := tmpl.Bind(b.tuple)
+		if err != nil {
+			return nil, fmt.Errorf("wrappertest: binding the %s probe: %w", b.name, err)
+		}
+		probes = append(probes, probe{name: b.name, rule: r, text: r.String(), shared: tmpl, sharedText: tp.text})
 	}
 	return probes, nil
 }

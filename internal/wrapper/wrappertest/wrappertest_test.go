@@ -89,3 +89,34 @@ func TestProbeDerivationNeedsUsableRecord(t *testing.T) {
 		t.Fatalf("errs = %v", errs)
 	}
 }
+
+// mutator answers correctly but rewrites the set elements of the query
+// it is given in place — harmless for a parsed query, and a corruption
+// of every later probe for one bound from a shared template.
+type mutator struct{ *oemstore.Source }
+
+func (m mutator) Query(q *msl.Rule) ([]*oem.Object, error) {
+	objs, err := m.Source.Query(q)
+	if pc, ok := q.Tail[0].(*msl.PatternConjunct); ok {
+		if set, ok := pc.Pattern.Value.(*msl.SetPattern); ok && len(set.Elems) > 1 {
+			set.Elems[0], set.Elems[1] = set.Elems[1], set.Elems[0]
+		}
+	}
+	return objs, err
+}
+
+func TestMutatingSourceFailsLoudly(t *testing.T) {
+	inner, err := oemstore.FromObjects("mut", extent()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var template bool
+	for _, err := range Check(mutator{inner}, extent()) {
+		if strings.Contains(err.Error(), "modified the template") {
+			template = true
+		}
+	}
+	if !template {
+		t.Fatal("a source that rewrote a bound query's shared subtree passed conformance")
+	}
+}
