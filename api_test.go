@@ -54,7 +54,7 @@ func TestAPISurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fileSrc.Store().Len() != 1 {
+	if fileSrc.Len() != 1 {
 		t.Fatal("NewOEMSourceFromFile")
 	}
 }

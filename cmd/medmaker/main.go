@@ -101,7 +101,7 @@ func seedStream(src *medmaker.StreamSource, name, path string) error {
 	if err != nil {
 		return err
 	}
-	for _, o := range tmp.Store().TopLevel() {
+	for _, o := range tmp.Export() {
 		if err := src.Append(o.Clone()); err != nil {
 			return err
 		}

@@ -11,6 +11,7 @@ package medmaker
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"net/http/httptest"
 	"testing"
@@ -129,6 +130,22 @@ func TestHeteroSourcesMatchFacade(t *testing.T) {
 	}
 }
 
+// conformWithPushdown runs the conformance probes against a source built
+// on the shared in-memory collection twice: with its candidate pushdown
+// on, and ablated to full scans.
+func conformWithPushdown(t *testing.T, src interface {
+	Source
+	SetPushdown(bool)
+}, export []*Object) {
+	t.Helper()
+	for _, on := range []bool{true, false} {
+		t.Run(fmt.Sprintf("pushdown=%v", on), func(t *testing.T) {
+			src.SetPushdown(on)
+			wrappertest.Conformance(t, src, export)
+		})
+	}
+}
+
 // TestBundledSourcesConform runs the capability-conformance probes
 // against every bundled source kind: each must answer what it advertises
 // exactly like the generic evaluator, and refuse (or still answer
@@ -150,7 +167,7 @@ func TestBundledSourcesConform(t *testing.T) {
 		if err := src.Add(mk()...); err != nil {
 			t.Fatal(err)
 		}
-		wrappertest.Conformance(t, src, src.Store().TopLevel())
+		conformWithPushdown(t, src, src.Export())
 	})
 
 	t.Run("relational", func(t *testing.T) {
@@ -180,7 +197,7 @@ func TestBundledSourcesConform(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := NewRecordWrapper("src", store)
-		wrappertest.Conformance(t, w, w.Export())
+		conformWithPushdown(t, w, w.Export())
 	})
 
 	t.Run("xmlsource", func(t *testing.T) {
@@ -188,7 +205,7 @@ func TestBundledSourcesConform(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wrappertest.Conformance(t, src, src.Export())
+		conformWithPushdown(t, src, src.Export())
 	})
 
 	t.Run("jsonhttp", func(t *testing.T) {
@@ -206,7 +223,7 @@ func TestBundledSourcesConform(t *testing.T) {
 		if err := src.Append(mk()...); err != nil {
 			t.Fatal(err)
 		}
-		wrappertest.Conformance(t, src, src.Export())
+		conformWithPushdown(t, src, src.Export())
 	})
 
 	t.Run("partitioned", func(t *testing.T) {

@@ -1,44 +1,29 @@
-// Package oemstore provides a native OEM source: a wrapper over a store
-// of OEM objects, with optional loading from files in the textual OEM
-// format. It is the simplest kind of source — the data already is OEM —
-// and serves as the reference implementation of the Source interface.
+// Package oemstore provides a native OEM source: a wrapper over a
+// collection of OEM objects, with optional loading from files in the
+// textual OEM format. It is the simplest kind of source — the data
+// already is OEM — and serves as the reference implementation of the
+// Source interface.
 package oemstore
 
 import (
-	"context"
 	"fmt"
 	"os"
 
-	"medmaker/internal/msl"
 	"medmaker/internal/oem"
 	"medmaker/internal/wrapper"
 )
 
-// Source is a fully-capable OEM-native source. Mutations (Add, Remove)
-// emit change-feed deltas to wrapper.Notifier subscribers.
+// Source is a fully-capable OEM-native source: a wrapper.Collection
+// loaded from objects, text or JSON. Mutations (Add, Remove) emit
+// change-feed deltas to wrapper.Notifier subscribers.
 type Source struct {
-	name  string
-	store *oem.Store
-	gen   *oem.IDGen
-	feed  wrapper.Feed
+	*wrapper.Collection
 }
-
-var (
-	_ wrapper.Source              = (*Source)(nil)
-	_ wrapper.BatchQuerier        = (*Source)(nil)
-	_ wrapper.ContextSource       = (*Source)(nil)
-	_ wrapper.ContextBatchQuerier = (*Source)(nil)
-	_ wrapper.Notifier            = (*Source)(nil)
-)
 
 // New returns an empty source with the given name. Objects added later
 // get oids prefixed with the source name.
 func New(name string) *Source {
-	return &Source{
-		name:  name,
-		store: oem.NewStore(name),
-		gen:   oem.NewIDGen(name + "q"),
-	}
+	return &Source{wrapper.NewCollection(name, wrapper.FullCapabilities())}
 }
 
 // FromObjects returns a source pre-populated with the given top-level
@@ -93,33 +78,6 @@ func FromJSONFile(name, label, path string) (*Source, error) {
 	return FromJSON(name, label, data)
 }
 
-// Add inserts top-level objects and emits an insert delta to change-feed
-// subscribers once the store mutation is complete.
-func (s *Source) Add(objs ...*oem.Object) error {
-	if err := s.store.Add(objs...); err != nil {
-		return err
-	}
-	if s.feed.Active() {
-		s.feed.Emit(wrapper.Delta{Source: s.name, Inserted: append([]*oem.Object(nil), objs...)})
-	}
-	return nil
-}
-
-// Remove deletes the top-level objects with the given oids and emits a
-// delete delta carrying the removed roots. OIDs not naming a top-level
-// object are ignored.
-func (s *Source) Remove(oids ...oem.OID) []*oem.Object {
-	removed := s.store.Remove(oids...)
-	if len(removed) > 0 {
-		s.feed.Emit(wrapper.Delta{Source: s.name, Deleted: removed})
-	}
-	return removed
-}
-
-// OnChange implements wrapper.Notifier: fn receives a delta after every
-// subsequent Add or Remove.
-func (s *Source) OnChange(fn func(wrapper.Delta)) { s.feed.OnChange(fn) }
-
 // SaveFile writes the source's objects to path in the textual OEM format;
 // FromFile reads them back.
 func (s *Source) SaveFile(path string) error {
@@ -128,60 +86,9 @@ func (s *Source) SaveFile(path string) error {
 		return fmt.Errorf("oemstore: %w", err)
 	}
 	var fmtr oem.Formatter
-	if err := fmtr.Format(f, s.store.TopLevel()...); err != nil {
+	if err := fmtr.Format(f, s.Export()...); err != nil {
 		f.Close()
 		return fmt.Errorf("oemstore: writing %s: %w", path, err)
 	}
 	return f.Close()
-}
-
-// Store exposes the underlying object store.
-func (s *Source) Store() *oem.Store { return s.store }
-
-// Name implements wrapper.Source.
-func (s *Source) Name() string { return s.name }
-
-// Capabilities implements wrapper.Source; OEM-native sources support the
-// full query language.
-func (s *Source) Capabilities() wrapper.Capabilities {
-	return wrapper.FullCapabilities()
-}
-
-// Query implements wrapper.Source.
-func (s *Source) Query(q *msl.Rule) ([]*oem.Object, error) {
-	return wrapper.Eval(q, s.store.TopLevel(), s.gen)
-}
-
-// QueryContext implements wrapper.ContextSource. Matching is in-process
-// and fast, so the context is only consulted up front; a store large
-// enough to matter is bounded by the engine's own stride checks instead.
-func (s *Source) QueryContext(ctx context.Context, q *msl.Rule) ([]*oem.Object, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.Query(q)
-}
-
-// QueryBatch implements wrapper.BatchQuerier: an in-process source
-// accepts a whole batch in one call, so a batch of parameterized queries
-// costs one exchange.
-func (s *Source) QueryBatch(qs []*msl.Rule) ([][]*oem.Object, error) {
-	return wrapper.EachQuery(s, qs)
-}
-
-// QueryBatchContext implements wrapper.ContextBatchQuerier, checking the
-// context between the batch's queries.
-func (s *Source) QueryBatchContext(ctx context.Context, qs []*msl.Rule) ([][]*oem.Object, error) {
-	return wrapper.EachQueryContext(ctx, s, qs)
-}
-
-// CountLabel implements wrapper.Counter.
-func (s *Source) CountLabel(label string) (int, bool) {
-	n := 0
-	for _, o := range s.store.TopLevel() {
-		if o.Label == label {
-			n++
-		}
-	}
-	return n, true
 }

@@ -53,8 +53,8 @@ func TestFromFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.Store().Len() != 2 {
-		t.Fatalf("loaded %d objects", src.Store().Len())
+	if src.Len() != 2 {
+		t.Fatalf("loaded %d objects", src.Len())
 	}
 	if _, err := FromFile("people", filepath.Join(dir, "missing.oem")); err == nil {
 		t.Fatal("missing file accepted")
@@ -101,7 +101,7 @@ func TestFromJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if one.Store().Len() != 1 {
+	if one.Len() != 1 {
 		t.Fatal("single-document JSON")
 	}
 	if _, err := FromJSON("bad", "x", []byte(`{{`)); err == nil {
@@ -119,7 +119,7 @@ func TestFromJSONFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.Store().Len() != 1 {
+	if src.Len() != 1 {
 		t.Fatal("load")
 	}
 	if _, err := FromJSONFile("p", "person", filepath.Join(dir, "nope.json")); err == nil {
@@ -140,7 +140,7 @@ func TestSaveFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := src.Store().TopLevel(), back.Store().TopLevel()
+	a, b := src.Export(), back.Export()
 	if len(a) != len(b) {
 		t.Fatalf("round trip sizes: %d vs %d", len(a), len(b))
 	}
@@ -172,7 +172,7 @@ func TestFromObjects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.Store().Len() != 2 {
+	if src.Len() != 2 {
 		t.Fatal("FromObjects lost objects")
 	}
 	// Duplicate oids across adds are rejected.

@@ -11,11 +11,9 @@
 package semistruct
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
-	"medmaker/internal/msl"
 	"medmaker/internal/oem"
 	"medmaker/internal/wrapper"
 )
@@ -41,19 +39,10 @@ func F(name string, value any) Field { return Field{Name: name, Value: value} }
 type Store struct {
 	mu      sync.RWMutex
 	records []Record
-	// oem caches the exported OEM view; invalidated on Add.
-	oemView []*oem.Object
-	// hooks run after each Add, outside the store lock, with the index of
-	// the first new record and the appended records. Wrappers use them to
-	// emit change-feed deltas with record-stable oids.
-	hooks []func(start int, recs []Record)
-}
-
-// onAdd registers a mutation hook; see Store.hooks.
-func (s *Store) onAdd(fn func(start int, recs []Record)) {
-	s.mu.Lock()
-	s.hooks = append(s.hooks, fn)
-	s.mu.Unlock()
+	// wrappers export the store; each converts new records and appends
+	// them to its collection under mu, so every export stays in record
+	// order.
+	wrappers []*Wrapper
 }
 
 // NewStore returns an empty store.
@@ -73,11 +62,15 @@ func (s *Store) Add(records ...Record) error {
 	s.mu.Lock()
 	start := len(s.records)
 	s.records = append(s.records, records...)
-	s.oemView = nil
-	hooks := s.hooks
+	ws := s.wrappers
+	added := make([][]*oem.Object, len(ws))
+	for i, w := range ws {
+		added[i] = w.convert(start, records)
+		w.Append(added[i]...)
+	}
 	s.mu.Unlock()
-	for _, fn := range hooks {
-		fn(start, records)
+	for i, w := range ws {
+		w.Emit(wrapper.Delta{Source: w.Name(), Inserted: added[i]})
 	}
 	return nil
 }
@@ -110,133 +103,59 @@ func validateFields(fields []Field) error {
 		if f.Value == nil {
 			return fmt.Errorf("field %q has a nil value", f.Name)
 		}
-		func() {
-			defer func() {
-				if recover() != nil {
-					panic(fmt.Sprintf("semistruct: field %q has unsupported value type %T", f.Name, f.Value))
-				}
-			}()
-			oem.Atom(f.Value)
-		}()
+		if err := checkAtom(f); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// Wrapper exports a Store as an OEM source under a given name. Records
-// appended to the store after the wrapper is created are emitted as
-// change-feed deltas to wrapper.Notifier subscribers.
-type Wrapper struct {
-	name  string
-	store *Store
-	gen   *oem.IDGen
-	feed  wrapper.Feed
+// checkAtom reports a field value oem.Atom cannot convert.
+func checkAtom(f Field) (err error) {
+	defer func() {
+		if recover() != nil {
+			err = fmt.Errorf("field %q has unsupported value type %T", f.Name, f.Value)
+		}
+	}()
+	oem.Atom(f.Value)
+	return nil
 }
 
-var (
-	_ wrapper.Source              = (*Wrapper)(nil)
-	_ wrapper.BatchQuerier        = (*Wrapper)(nil)
-	_ wrapper.ContextSource       = (*Wrapper)(nil)
-	_ wrapper.ContextBatchQuerier = (*Wrapper)(nil)
-	_ wrapper.Notifier            = (*Wrapper)(nil)
-)
+// Wrapper exports a Store as an OEM source under a given name: a
+// wrapper.Collection holding every record converted to OEM, record i with
+// oid &<name>_i. Records appended to the store later are converted,
+// appended, and emitted as change-feed deltas to wrapper.Notifier
+// subscribers. Mutate the Store, not the embedded collection.
+//
+// A new wrapper answers queries by matching every record, with the
+// collection's candidate narrowing off; SetPushdown(true) turns it on.
+type Wrapper struct {
+	*wrapper.Collection
+}
 
-// NewWrapper wraps store as the named source.
+// NewWrapper wraps store as the named source, converting its records.
 func NewWrapper(name string, store *Store) *Wrapper {
-	w := &Wrapper{name: name, store: store, gen: oem.NewIDGen(name + "q")}
-	store.onAdd(func(start int, recs []Record) {
-		if !w.feed.Active() {
-			return
-		}
-		objs := make([]*oem.Object, len(recs))
-		for i, r := range recs {
-			objs[i] = w.convertRecord(start+i, r)
-		}
-		w.feed.Emit(wrapper.Delta{Source: w.name, Inserted: objs})
-	})
+	w := &Wrapper{wrapper.NewCollection(name, wrapper.FullCapabilities())}
+	w.SetPushdown(false)
+	store.mu.Lock()
+	defer store.mu.Unlock()
+	w.Append(w.convert(0, store.records)...)
+	store.wrappers = append(store.wrappers, w)
 	return w
 }
 
-// OnChange implements wrapper.Notifier: fn receives an insert delta for
-// every subsequent Store.Add. The delta's objects carry the same
-// record-index oids as Export, so they are structurally identical to the
-// next exported view's new tail.
-func (w *Wrapper) OnChange(fn func(wrapper.Delta)) { w.feed.OnChange(fn) }
-
-// Name implements wrapper.Source.
-func (w *Wrapper) Name() string { return w.name }
-
-// Capabilities implements wrapper.Source: the store is held locally, so
-// the wrapper supports the full query language including wildcards.
-func (w *Wrapper) Capabilities() wrapper.Capabilities {
-	return wrapper.FullCapabilities()
-}
-
-// Query implements wrapper.Source.
-func (w *Wrapper) Query(q *msl.Rule) ([]*oem.Object, error) {
-	return wrapper.Eval(q, w.Export(), w.gen)
-}
-
-// QueryContext implements wrapper.ContextSource: the context is checked
-// up front, then the in-process evaluation runs to completion.
-func (w *Wrapper) QueryContext(ctx context.Context, q *msl.Rule) ([]*oem.Object, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+// convert converts records to OEM, the first as record index start.
+func (w *Wrapper) convert(start int, recs []Record) []*oem.Object {
+	objs := make([]*oem.Object, len(recs))
+	for i, r := range recs {
+		objs[i] = w.convertRecord(start+i, r)
 	}
-	return w.Query(q)
-}
-
-// QueryBatch implements wrapper.BatchQuerier: an in-process wrapper
-// accepts a whole batch in one call, so a batch of parameterized queries
-// costs one exchange.
-func (w *Wrapper) QueryBatch(qs []*msl.Rule) ([][]*oem.Object, error) {
-	return wrapper.EachQuery(w, qs)
-}
-
-// QueryBatchContext implements wrapper.ContextBatchQuerier, checking the
-// context between the batch's queries.
-func (w *Wrapper) QueryBatchContext(ctx context.Context, qs []*msl.Rule) ([][]*oem.Object, error) {
-	return wrapper.EachQueryContext(ctx, w, qs)
-}
-
-// CountLabel implements wrapper.Counter: the count of records of a kind.
-func (w *Wrapper) CountLabel(label string) (int, bool) {
-	w.store.mu.RLock()
-	defer w.store.mu.RUnlock()
-	n := 0
-	for _, r := range w.store.records {
-		if r.Kind == label {
-			n++
-		}
-	}
-	return n, true
-}
-
-// Export converts every record to a top-level OEM object. Record i gets
-// oid &<name>_i; conversion results are cached until the store changes.
-func (w *Wrapper) Export() []*oem.Object {
-	w.store.mu.RLock()
-	if view := w.store.oemView; view != nil {
-		w.store.mu.RUnlock()
-		return view
-	}
-	w.store.mu.RUnlock()
-
-	w.store.mu.Lock()
-	defer w.store.mu.Unlock()
-	if w.store.oemView != nil {
-		return w.store.oemView
-	}
-	out := make([]*oem.Object, len(w.store.records))
-	for i, r := range w.store.records {
-		out[i] = w.convertRecord(i, r)
-	}
-	w.store.oemView = out
-	return out
+	return objs
 }
 
 // convertRecord converts record index i to its OEM object, oid &<name>_i.
 func (w *Wrapper) convertRecord(i int, r Record) *oem.Object {
-	oid := oem.OID(fmt.Sprintf("&%s_%d", w.name, i))
+	oid := oem.OID(fmt.Sprintf("&%s_%d", w.Name(), i))
 	return &oem.Object{
 		OID:   oid,
 		Label: r.Kind,

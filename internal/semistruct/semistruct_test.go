@@ -1,6 +1,8 @@
 package semistruct
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"medmaker/internal/msl"
@@ -64,6 +66,34 @@ func TestQuery(t *testing.T) {
 	}
 }
 
+// TestPushdownOffByDefault checks that a new wrapper hands the matcher
+// every record, and that turning narrowing on supplies fewer records for
+// the same answers.
+func TestPushdownOffByDefault(t *testing.T) {
+	q := msl.MustParseRule(`<out N> :- <person {<name N> <relation 'student'>}>@whois.`)
+	answers := func(w *Wrapper) string {
+		t.Helper()
+		got, err := w.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(got)
+	}
+	off := NewWrapper("whois", paperStore())
+	offAnswers := answers(off)
+	if n := off.Supplied(); n != 2 {
+		t.Fatalf("default wrapper supplied %d records, want all 2", n)
+	}
+	on := NewWrapper("whois", paperStore())
+	on.SetPushdown(true)
+	if got := answers(on); got != offAnswers {
+		t.Fatalf("answers with pushdown %s, without %s", got, offAnswers)
+	}
+	if n := on.Supplied(); n != 1 {
+		t.Fatalf("pushdown supplied %d records, want 1", n)
+	}
+}
+
 func TestNestedFields(t *testing.T) {
 	s := NewStore()
 	s.MustAdd(Record{Kind: "person", Fields: []Field{
@@ -122,12 +152,52 @@ func TestValidation(t *testing.T) {
 	}}); err == nil {
 		t.Fatal("nested nameless field accepted")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unsupported value type should panic")
+	if err := s.Add(Record{Kind: "p", Fields: []Field{F("x", struct{}{})}}); err == nil {
+		t.Fatal("unsupported value type accepted")
+	}
+	if s.Len() != 0 {
+		t.Fatalf("rejected records were stored: Len = %d", s.Len())
+	}
+}
+
+// TestWrappersOverOneStore checks that each wrapper over a shared store
+// exports its own oids, and that after concurrent Adds every wrapper's
+// export is in record order with record-index oids.
+func TestWrappersOverOneStore(t *testing.T) {
+	s := paperStore()
+	a, b := NewWrapper("a", s), NewWrapper("b", s)
+	a.Export()
+	if got := b.Export()[0].OID; got != "&b_0" {
+		t.Fatalf("wrapper b exports oid %s, want &b_0", got)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				s.MustAdd(Record{Kind: "person", Fields: []Field{F("name", fmt.Sprintf("g%d-%d", g, i))}})
+			}
+		}(g)
+	}
+	wg.Wait()
+	s.mu.RLock()
+	records := append([]Record(nil), s.records...)
+	s.mu.RUnlock()
+	for _, w := range []*Wrapper{a, b} {
+		objs := w.Export()
+		if len(objs) != len(records) {
+			t.Fatalf("%s exports %d objects, want %d", w.Name(), len(objs), len(records))
 		}
-	}()
-	s.Add(Record{Kind: "p", Fields: []Field{F("x", struct{}{})}})
+		for i, o := range objs {
+			if want := oem.OID(fmt.Sprintf("&%s_%d", w.Name(), i)); o.OID != want {
+				t.Fatalf("%s export %d has oid %s, want %s", w.Name(), i, o.OID, want)
+			}
+			if want := w.convertRecord(i, records[i]); !o.StructuralEqual(want) {
+				t.Fatalf("%s export %d is not record %d:\n%s", w.Name(), i, i, oem.Format(o))
+			}
+		}
+	}
 }
 
 func TestExportCacheInvalidation(t *testing.T) {

@@ -11,7 +11,6 @@ package streamsource
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -26,8 +25,9 @@ type Options struct {
 	// Appending the (MaxEvents+1)-th event evicts the oldest.
 	MaxEvents int
 	// MaxAge caps event age; 0 means unlimited. Expiry is lazy — checked
-	// on Append and Query and forceable with Expire — so subscribers see
-	// eviction deltas at the next touch, not at the instant of expiry.
+	// on Append and on every query entry point, and forceable with Expire
+	// — so subscribers see eviction deltas at the next touch, not at the
+	// instant of expiry.
 	MaxAge time.Duration
 	// Clock supplies the current time; nil means time.Now. Tests inject
 	// fake clocks to drive age-based retention deterministically.
@@ -41,126 +41,91 @@ func (o Options) now() time.Time {
 	return time.Now()
 }
 
-// Source is the event-log source. It is safe for concurrent use.
+// Source is the event-log source: a wrapper.Collection whose retention
+// runs before every read. It is safe for concurrent use.
 type Source struct {
-	name string
+	*wrapper.Collection
 	opts Options
-	gen  *oem.IDGen
 
-	mu    sync.Mutex
-	store *oem.Store
+	mu    sync.Mutex // serializes Append and Expire; guards times and total
 	times map[oem.OID]time.Time
 	total int64 // events ever appended
-
-	feed wrapper.Feed
 }
-
-var (
-	_ wrapper.Source              = (*Source)(nil)
-	_ wrapper.ContextSource       = (*Source)(nil)
-	_ wrapper.BatchQuerier        = (*Source)(nil)
-	_ wrapper.ContextBatchQuerier = (*Source)(nil)
-	_ wrapper.Counter             = (*Source)(nil)
-	_ wrapper.Notifier            = (*Source)(nil)
-)
 
 // New returns an empty stream source with the given retention options.
 func New(name string, opts Options) *Source {
 	if opts.MaxEvents < 0 {
 		opts.MaxEvents = 0
 	}
-	s := &Source{
-		name:  name,
-		opts:  opts,
-		gen:   oem.NewIDGen(name + "q"),
-		store: oem.NewStore(name),
-		times: make(map[oem.OID]time.Time),
+	return &Source{
+		Collection: wrapper.NewCollection(name, wrapper.FullCapabilities()),
+		opts:       opts,
+		times:      make(map[oem.OID]time.Time),
 	}
-	return s
 }
 
 // Append adds events to the log, evicting the oldest retained events as
-// the count/age bounds require, then emits one Delta carrying both the
+// the count/age bounds require, and emits one Delta carrying both the
 // inserts and any evictions. The event objects are stamped with oids and
 // must not be mutated afterwards.
 func (s *Source) Append(events ...*oem.Object) error {
 	if len(events) == 0 {
 		return nil
 	}
-	for _, e := range events {
-		if err := e.Validate(); err != nil {
-			return fmt.Errorf("streamsource: %s: %w", s.name, err)
-		}
-	}
 	now := s.opts.now()
 	s.mu.Lock()
-	if err := s.store.Add(events...); err != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("streamsource: %s: %w", s.name, err)
+	d, err := s.Update(events, s.overflow(now, len(events)))
+	if err == nil {
+		for _, e := range events {
+			s.times[e.OID] = now
+		}
+		s.total += int64(len(events))
+		s.forget(d.Deleted)
 	}
-	for _, e := range events {
-		s.times[e.OID] = now
-	}
-	s.total += int64(len(events))
-	evicted := s.evictLocked(now)
 	s.mu.Unlock()
-	s.feed.Emit(wrapper.Delta{
-		Source:   s.name,
-		Inserted: append([]*oem.Object(nil), events...),
-		Deleted:  evicted,
-	})
+	if err != nil {
+		return err
+	}
+	s.Emit(d)
 	return nil
 }
 
-// evictLocked drops aged-out events, then oldest events past MaxEvents.
-// The caller holds the lock; the removed roots are returned for the
-// delta.
-func (s *Source) evictLocked(now time.Time) []*oem.Object {
-	tops := s.store.TopLevel() // insertion order == append order
-	var drop []oem.OID
-	keepFrom := 0
+// overflow returns how many of the oldest events adding more events at
+// now evicts: those aged out, then those past MaxEvents. The caller holds
+// s.mu.
+func (s *Source) overflow(now time.Time, adding int) int {
+	tops := s.Export() // oldest first
+	n := 0
 	if s.opts.MaxAge > 0 {
 		cutoff := now.Add(-s.opts.MaxAge)
-		for keepFrom < len(tops) && s.times[tops[keepFrom].OID].Before(cutoff) {
-			drop = append(drop, tops[keepFrom].OID)
-			keepFrom++
+		for n < len(tops) && s.times[tops[n].OID].Before(cutoff) {
+			n++
 		}
 	}
-	if s.opts.MaxEvents > 0 {
-		for len(tops)-keepFrom > s.opts.MaxEvents {
-			drop = append(drop, tops[keepFrom].OID)
-			keepFrom++
-		}
+	if total := len(tops) + adding; s.opts.MaxEvents > 0 && total-n > s.opts.MaxEvents {
+		n = total - s.opts.MaxEvents
 	}
-	if len(drop) == 0 {
-		return nil
-	}
-	removed := s.store.Remove(drop...)
-	for _, o := range removed {
+	return n
+}
+
+// forget drops the append times of evicted events. The caller holds s.mu.
+func (s *Source) forget(evicted []*oem.Object) {
+	for _, o := range evicted {
 		delete(s.times, o.OID)
 	}
-	return removed
 }
 
 // Expire evicts events that have aged out as of now, emitting a delete
-// delta, and returns the evicted roots. Query and Append expire lazily;
-// Expire lets a housekeeping loop bound staleness explicitly.
+// delta, and returns the evicted roots. Every query entry point expires
+// first; Expire lets a housekeeping loop bound staleness explicitly.
 func (s *Source) Expire() []*oem.Object {
 	now := s.opts.now()
 	s.mu.Lock()
-	evicted := s.evictLocked(now)
+	d, _ := s.Update(nil, s.overflow(now, 0))
+	s.forget(d.Deleted)
 	s.mu.Unlock()
-	if len(evicted) > 0 {
-		s.feed.Emit(wrapper.Delta{Source: s.name, Deleted: evicted})
-	}
-	return evicted
-}
-
-// Len returns the number of retained events.
-func (s *Source) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.store.Len()
+	s.Emit(d)
+	return d.Deleted
 }
 
 // Appended returns the total number of events ever appended.
@@ -170,63 +135,28 @@ func (s *Source) Appended() int64 {
 	return s.total
 }
 
-// Export returns the retained events, oldest first, without expiring.
-func (s *Source) Export() []*oem.Object {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.store.TopLevel()
-}
-
-// OnChange implements wrapper.Notifier: fn receives a delta for every
-// append and eviction.
-func (s *Source) OnChange(fn func(wrapper.Delta)) { s.feed.OnChange(fn) }
-
-// Name implements wrapper.Source.
-func (s *Source) Name() string { return s.name }
-
-// Capabilities implements wrapper.Source: events are plain OEM, queried
-// by the full matcher.
-func (s *Source) Capabilities() wrapper.Capabilities {
-	return wrapper.FullCapabilities()
-}
-
 // Query implements wrapper.Source over the retained window, expiring
 // aged-out events first so answers never include data past MaxAge.
 func (s *Source) Query(q *msl.Rule) ([]*oem.Object, error) {
 	s.Expire()
-	s.mu.Lock()
-	tops := s.store.TopLevel()
-	s.mu.Unlock()
-	return wrapper.Eval(q, tops, s.gen)
+	return s.Collection.Query(q)
 }
 
-// QueryContext implements wrapper.ContextSource.
+// QueryContext implements wrapper.ContextSource, expiring first.
 func (s *Source) QueryContext(ctx context.Context, q *msl.Rule) ([]*oem.Object, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.Query(q)
+	s.Expire()
+	return s.Collection.QueryContext(ctx, q)
 }
 
-// QueryBatch implements wrapper.BatchQuerier.
+// QueryBatch implements wrapper.BatchQuerier, expiring once per batch.
 func (s *Source) QueryBatch(qs []*msl.Rule) ([][]*oem.Object, error) {
-	return wrapper.EachQuery(s, qs)
+	s.Expire()
+	return s.Collection.QueryBatch(qs)
 }
 
-// QueryBatchContext implements wrapper.ContextBatchQuerier.
+// QueryBatchContext implements wrapper.ContextBatchQuerier, expiring once
+// per batch.
 func (s *Source) QueryBatchContext(ctx context.Context, qs []*msl.Rule) ([][]*oem.Object, error) {
-	return wrapper.EachQueryContext(ctx, s, qs)
-}
-
-// CountLabel implements wrapper.Counter over the retained window.
-func (s *Source) CountLabel(label string) (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, o := range s.store.TopLevel() {
-		if o.Label == label {
-			n++
-		}
-	}
-	return n, true
+	s.Expire()
+	return s.Collection.QueryBatchContext(ctx, qs)
 }

@@ -1,6 +1,7 @@
 package streamsource
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -189,5 +190,54 @@ func TestConcurrentAppendQuery(t *testing.T) {
 	wg.Wait()
 	if s.Len() > 16 {
 		t.Fatalf("window overflow: %d", s.Len())
+	}
+}
+
+// TestExpiryAtEveryEntryPoint checks that each query entry point expires
+// aged-out events before reading: the embedded collection's own entry
+// points would serve them.
+func TestExpiryAtEveryEntryPoint(t *testing.T) {
+	q := msl.MustParseRule(`<out V> :- <reading {<value V>}>@stream.`)
+	ctx := context.Background()
+	for name, query := range map[string]func(*Source) ([]*oem.Object, error){
+		"Query":        func(s *Source) ([]*oem.Object, error) { return s.Query(q) },
+		"QueryContext": func(s *Source) ([]*oem.Object, error) { return s.QueryContext(ctx, q) },
+		"QueryBatch": func(s *Source) ([]*oem.Object, error) {
+			got, err := s.QueryBatch([]*msl.Rule{q})
+			if err != nil {
+				return nil, err
+			}
+			return got[0], nil
+		},
+		"QueryBatchContext": func(s *Source) ([]*oem.Object, error) {
+			got, err := s.QueryBatchContext(ctx, []*msl.Rule{q})
+			if err != nil {
+				return nil, err
+			}
+			return got[0], nil
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			now := time.Unix(1000, 0)
+			s := New("stream", Options{MaxAge: time.Minute, Clock: func() time.Time { return now }})
+			if err := s.Append(event(0)); err != nil {
+				t.Fatal(err)
+			}
+			now = now.Add(59 * time.Second)
+			if err := s.Append(event(1)); err != nil {
+				t.Fatal(err)
+			}
+			now = now.Add(2 * time.Second) // event 0 is now 61s old
+			got, err := query(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 1 {
+				t.Fatalf("%s served %d events, want 1 (aged-out event left out)", name, len(got))
+			}
+			if s.Len() != 1 {
+				t.Fatalf("Len after %s = %d, want 1", name, s.Len())
+			}
+		})
 	}
 }

@@ -26,7 +26,7 @@ func TestConformantSourcePasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if errs := Check(src, src.Store().TopLevel()); len(errs) != 0 {
+	if errs := Check(src, src.Export()); len(errs) != 0 {
 		t.Fatalf("conformant source reported violations: %v", errs)
 	}
 }
@@ -39,7 +39,7 @@ func TestLimitedSourceRejectionsPass(t *testing.T) {
 	// A source that honestly advertises no value conditions and rejects
 	// them conforms: the probes it refuses are the ones it disclaims.
 	src := &wrapper.Limited{Inner: inner, Caps: wrapper.Capabilities{}}
-	if errs := Check(src, inner.Store().TopLevel()); len(errs) != 0 {
+	if errs := Check(src, inner.Export()); len(errs) != 0 {
 		t.Fatalf("honest limited source reported violations: %v", errs)
 	}
 }

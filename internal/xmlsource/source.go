@@ -1,66 +1,37 @@
 package xmlsource
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
-	"sync/atomic"
 
-	"medmaker/internal/msl"
 	"medmaker/internal/oem"
 	"medmaker/internal/wrapper"
 )
 
-// Source exports a decoded XML document as a read-only OEM source.
-// Queries are answered by the generic OEM matcher over the mapped
-// objects, but the source narrows the candidates first — by top-level
-// label and by pushed-down equality conditions on direct atomic children
-// (the mapped elements and attributes) — so selective queries touch only
-// matching records instead of the whole document. Narrowing never drops
-// a possible answer: every pushed condition is one the matcher would
-// enforce anyway, and unsupported shapes fall back to the full extent.
+// Source exports a decoded XML document as an OEM source over a
+// wrapper.Collection, whose candidate supplier narrows each query by
+// top-level label and by equality conditions on direct atomic children
+// (the mapped elements and attributes) before matching.
+//
+// The XML mapping yields plain OEM trees, so value conditions, rest
+// constraints, and wildcards all evaluate locally; source-local joins
+// (multi-pattern tails) are not offered — the mediator decomposes and
+// joins instead, as it does for capability-poor sources.
 type Source struct {
-	name    string
-	store   *oem.Store
-	gen     *oem.IDGen
-	byLabel map[string][]*oem.Object
-
-	// pushdown can be disabled (SetPushdown) to measure how many objects
-	// the selection saves; supplied counts the objects handed to the
-	// matcher either way.
-	pushdown atomic.Bool
-	supplied atomic.Int64
+	*wrapper.Collection
 }
-
-var (
-	_ wrapper.Source              = (*Source)(nil)
-	_ wrapper.ContextSource       = (*Source)(nil)
-	_ wrapper.BatchQuerier        = (*Source)(nil)
-	_ wrapper.ContextBatchQuerier = (*Source)(nil)
-	_ wrapper.Counter             = (*Source)(nil)
-)
 
 // New builds a source over already-mapped top-level objects, assigning
 // oids under the source name.
 func New(name string, tops []*oem.Object) (*Source, error) {
-	s := &Source{
-		name:    name,
-		store:   oem.NewStore(name),
-		gen:     oem.NewIDGen(name + "q"),
-		byLabel: make(map[string][]*oem.Object),
-	}
-	s.pushdown.Store(true)
-	for _, o := range tops {
-		if err := o.Validate(); err != nil {
-			return nil, fmt.Errorf("xmlsource: %s: %w", name, err)
-		}
-	}
-	if err := s.store.Add(tops...); err != nil {
-		return nil, fmt.Errorf("xmlsource: %s: %w", name, err)
-	}
-	for _, o := range s.store.TopLevel() {
-		s.byLabel[o.Label] = append(s.byLabel[o.Label], o)
+	s := &Source{wrapper.NewCollection(name, wrapper.Capabilities{
+		ValueConditions: true,
+		RestConstraints: true,
+		Wildcards:       true,
+	})}
+	if err := s.Add(tops...); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -82,158 +53,4 @@ func FromFile(name, path string, m Mapping) (*Source, error) {
 	}
 	defer f.Close()
 	return FromReader(name, f, m)
-}
-
-// Name implements wrapper.Source.
-func (s *Source) Name() string { return s.name }
-
-// Capabilities implements wrapper.Source. The XML mapping yields plain
-// OEM trees, so value conditions, rest constraints, and wildcards all
-// evaluate locally; source-local joins (multi-pattern tails) are not
-// offered — the mediator decomposes and joins instead, as it does for
-// capability-poor sources.
-func (s *Source) Capabilities() wrapper.Capabilities {
-	return wrapper.Capabilities{
-		ValueConditions: true,
-		RestConstraints: true,
-		Wildcards:       true,
-		MultiPattern:    false,
-	}
-}
-
-// Query implements wrapper.Source.
-func (s *Source) Query(q *msl.Rule) ([]*oem.Object, error) {
-	if err := wrapper.CheckCapabilities(q, s.Capabilities(), s.name); err != nil {
-		return nil, err
-	}
-	return wrapper.EvalWith(q, s.candidates, s.gen)
-}
-
-// QueryContext implements wrapper.ContextSource; matching is in-process,
-// so the context is only consulted up front.
-func (s *Source) QueryContext(ctx context.Context, q *msl.Rule) ([]*oem.Object, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.Query(q)
-}
-
-// QueryBatch implements wrapper.BatchQuerier.
-func (s *Source) QueryBatch(qs []*msl.Rule) ([][]*oem.Object, error) {
-	return wrapper.EachQuery(s, qs)
-}
-
-// QueryBatchContext implements wrapper.ContextBatchQuerier.
-func (s *Source) QueryBatchContext(ctx context.Context, qs []*msl.Rule) ([][]*oem.Object, error) {
-	return wrapper.EachQueryContext(ctx, s, qs)
-}
-
-// CountLabel implements wrapper.Counter using the label index.
-func (s *Source) CountLabel(label string) (int, bool) {
-	return len(s.byLabel[label]), true
-}
-
-// Export returns the full mapped extent, for facades and figures.
-func (s *Source) Export() []*oem.Object { return s.store.TopLevel() }
-
-// SetPushdown enables or disables candidate narrowing; with it off every
-// query scans the full extent (the matcher still returns correct
-// answers). Used by the pushdown benchmarks.
-func (s *Source) SetPushdown(on bool) { s.pushdown.Store(on) }
-
-// Supplied returns the cumulative number of top-level objects handed to
-// the matcher — the "rows transferred" out of the XML selection layer.
-func (s *Source) Supplied() int64 { return s.supplied.Load() }
-
-// candidates narrows the extent for one pattern conjunct: top-level label
-// first, then pushed equality conditions on direct atomic children.
-func (s *Source) candidates(pc *msl.PatternConjunct) ([]*oem.Object, error) {
-	tops, err := s.topsFor(pc.Pattern)
-	if err != nil {
-		return nil, err
-	}
-	if s.pushdown.Load() {
-		if conds := pushableConds(pc.Pattern); len(conds) > 0 {
-			var kept []*oem.Object
-			for _, o := range tops {
-				if satisfiesAll(o, conds) {
-					kept = append(kept, o)
-				}
-			}
-			tops = kept
-		}
-	}
-	s.supplied.Add(int64(len(tops)))
-	return tops, nil
-}
-
-func (s *Source) topsFor(p *msl.ObjectPattern) ([]*oem.Object, error) {
-	if p.Wildcard || !s.pushdown.Load() {
-		return s.store.TopLevel(), nil
-	}
-	if name := p.LabelName(); name != "" {
-		return s.byLabel[name], nil
-	}
-	if _, isParam := p.Label.(*msl.Param); isParam {
-		return nil, fmt.Errorf("xmlsource: unsubstituted parameter in label of %s", p)
-	}
-	// Label variable: the whole extent.
-	return s.store.TopLevel(), nil
-}
-
-// cond is one pushed selection: the object must have a direct subobject
-// with this label whose atomic value equals the constant.
-type cond struct {
-	label string
-	value oem.Value
-}
-
-// pushableConds extracts "child label = constant" selections from the
-// pattern's direct set elements and rest constraints — the same
-// must-have-member semantics the matcher enforces, so filtering on them
-// can only remove non-answers.
-func pushableConds(p *msl.ObjectPattern) []cond {
-	sp, ok := p.Value.(*msl.SetPattern)
-	if !ok {
-		return nil
-	}
-	var conds []cond
-	addFrom := func(ep *msl.ObjectPattern) {
-		if ep.Wildcard {
-			return
-		}
-		label := ep.LabelName()
-		if label == "" {
-			return
-		}
-		if c, isConst := ep.Value.(*msl.Const); isConst {
-			conds = append(conds, cond{label: label, value: c.Value})
-		}
-	}
-	for _, e := range sp.Elems {
-		if ep, isPat := e.(*msl.ObjectPattern); isPat {
-			addFrom(ep)
-		}
-	}
-	for _, rc := range sp.RestConstraints {
-		addFrom(rc)
-	}
-	return conds
-}
-
-func satisfiesAll(o *oem.Object, conds []cond) bool {
-	subs := o.Subobjects()
-	for _, c := range conds {
-		found := false
-		for _, sub := range subs {
-			if sub.Label == c.label && sub.Value != nil && sub.Value.Equal(c.value) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
 }

@@ -569,8 +569,8 @@ func TestMutationDifferential(t *testing.T) {
 
 				// Step 3: deletes — including 'P004 Q004', the name query 0
 				// pins — forcing the rebuild fallback.
-				wp := whoisSrc.Store().TopLevel()
-				cp := csSrc.Store().TopLevel()
+				wp := whoisSrc.Export()
+				cp := csSrc.Export()
 				if removed := whoisSrc.Remove(wp[4].OID); len(removed) != 1 {
 					t.Fatalf("spec=%d: whois delete removed %d", si, len(removed))
 				}
