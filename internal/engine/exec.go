@@ -189,25 +189,6 @@ func (ex *Executor) recordQuery(n *QueryNode, results int) {
 	ex.Stats.Record(n.Source, templateKey(n.Send), results)
 }
 
-// recordLatency folds one successful exchange's wall time into the
-// source's latency EWMA — for replicated sources the member's, so the
-// routing score tracks the replica that actually answered.
-func (ex *Executor) recordLatency(source string, d time.Duration) {
-	if ex.Stats == nil {
-		return
-	}
-	ex.Stats.RecordLatency(source, d)
-}
-
-// recordExchange counts one source exchange carrying the given number of
-// queries — the round-trip traffic batching exists to reduce.
-func (ex *Executor) recordExchange(source string, queries int) {
-	if ex.Stats == nil {
-		return
-	}
-	ex.Stats.RecordExchange(source, queries)
-}
-
 // templateKey identifies a query shape for the statistics store: the
 // source pattern labels of the template, ignoring constants, so repeated
 // parameterized instances aggregate under one key.

@@ -11,9 +11,9 @@ import (
 // split their input table into fixed-size runs of rows ("morsels")
 // executed on a bounded pool of Executor.Parallelism goroutines.
 // Latency-bound fan-outs use morsels of width 1: per-tuple source
-// exchanges, batched exchange chunks, shard scatters, and hash-join
-// partitions. Each morsel produces an independent output chunk; callers
-// concatenate chunks in morsel order, so parallel results are
+// exchanges, batched exchange chunks, and hash-join partitions. Each
+// morsel produces an independent output chunk; callers concatenate
+// chunks in morsel order, so parallel results are
 // byte-identical to the serial loop, which is the same scheduler with
 // one worker. Workers claim morsels from a shared atomic counter (work
 // stealing by oversubscription: morsels are small, so an uneven morsel
@@ -51,9 +51,9 @@ func (rs *runState) runMorsels(n Node, total int, fn func(m, lo, hi int) error) 
 }
 
 // runMorselsWidth is runMorsels with an explicit morsel width. Latency-
-// bound work uses width 1 — each source exchange (or a shard scatter's
-// member exchange) becomes its own morsel, so four exchanges fan out over
-// four workers instead of sharing one row-sized morsel.
+// bound work uses width 1 — each source exchange becomes its own morsel,
+// so four exchanges fan out over four workers instead of sharing one
+// row-sized morsel.
 func (rs *runState) runMorselsWidth(n Node, total, size int, fn func(m, lo, hi int) error) error {
 	if size < 1 {
 		size = 1

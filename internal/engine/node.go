@@ -178,32 +178,24 @@ func tableFromEnvs(needed []string, rows []match.Env) *Table {
 }
 
 // querySource performs one single-query exchange under the run's context
-// and failure policy. skipped=true means the policy absorbed a failure
-// (or the source is circuit-broken) and the answer is missing at least
-// one source's (or shard's) contribution; the run is then marked
-// incomplete. Sharded sources are scattered (or routed) member by member
-// so failure handling attributes to the shard, not the composite.
-func (n *QueryNode) querySource(rs *runState, src wrapper.Source, q *msl.Rule) (objs []*oem.Object, skipped bool, err error) {
-	if rep, ok := src.(wrapper.Replicated); ok {
-		return n.queryReplicas(rs, rep, q)
-	}
-	if sh, ok := src.(wrapper.Sharded); ok {
-		return n.queryShards(rs, sh, q)
-	}
+// and failure policy. When the policy absorbs a failure (or the source is
+// circuit-broken) the answer is empty, or a composite's surviving union,
+// and the run is marked incomplete.
+func (n *QueryNode) querySource(rs *runState, src wrapper.Source, q *msl.Rule) ([]*oem.Object, error) {
 	if rs.sourceDown(n.Source) {
-		return nil, true, nil
+		return nil, nil
 	}
 	ctx, cancel := rs.sourceCtx(n)
 	start := time.Now()
 	objs, qerr := wrapper.QueryContext(ctx, src, q)
 	elapsed := time.Since(start)
 	cancel()
-	if qerr != nil {
-		return nil, true, rs.sourceFailed(n.Source, qerr)
+	if keep, err := rs.keepAnswer(n.Source, qerr); !keep {
+		return nil, err
 	}
 	rs.recordExchange(n, 1, elapsed)
 	rs.ex.recordQuery(n, len(objs))
-	return objs, false, nil
+	return objs, nil
 }
 
 // runRow evaluates the node for one input tuple: query the source with
@@ -214,7 +206,7 @@ func (n *QueryNode) runRow(rs *runState, src wrapper.Source, row match.Env, q *m
 	// pattern yields no rows, a negated (anti-join) one passes the tuple
 	// through — absence assumed, not verified, which is why querySource
 	// records the failure in the run's SourceErrors.
-	objs, _, err := n.querySource(rs, src, q)
+	objs, err := n.querySource(rs, src, q)
 	if err != nil {
 		return nil, err
 	}
@@ -297,12 +289,7 @@ func (n *QueryNode) runBatched(rs *runState, src wrapper.Source, rows []match.En
 // the output (extraction replays the input-row order).
 func (n *QueryNode) fetchBatches(rs *runState, src wrapper.Source, qs []*msl.Rule) ([][]*oem.Object, error) {
 	size := rs.ex.queryBatch()
-	canBatch := false
-	if _, ok := src.(wrapper.BatchQuerier); ok {
-		canBatch = true
-	} else if _, ok := src.(wrapper.ContextBatchQuerier); ok {
-		canBatch = true
-	}
+	canBatch := wrapper.Batches(src)
 	answers := make([][]*oem.Object, len(qs))
 	chunks := (len(qs) + size - 1) / size
 	err := rs.runMorselsWidth(n, chunks, 1, func(c, _, _ int) error {
@@ -314,26 +301,19 @@ func (n *QueryNode) fetchBatches(rs *runState, src wrapper.Source, qs []*msl.Rul
 
 // fetchChunk performs one exchange's worth of queries, answering qs[i]
 // into out[i]: a single batched exchange for batch-capable sources, one
-// exchange per query otherwise. Against a sharded source the chunk is
-// regrouped per member shard first.
+// exchange per query otherwise.
 func (n *QueryNode) fetchChunk(rs *runState, src wrapper.Source, qs []*msl.Rule, out [][]*oem.Object, canBatch bool) error {
-	if rep, ok := src.(wrapper.Replicated); ok {
-		return n.fetchChunkReplicated(rs, rep, qs, out)
-	}
-	if sh, ok := src.(wrapper.Sharded); ok {
-		return n.fetchChunkSharded(rs, sh, qs, out)
-	}
 	if canBatch && len(qs) > 1 {
 		if rs.sourceDown(n.Source) {
 			return nil // every answer stays empty
 		}
 		ctx, cancel := rs.sourceCtx(n)
 		batchStart := time.Now()
-		res, err := wrapper.QueryBatchContext(ctx, src, qs)
+		res, qerr := wrapper.QueryBatchContext(ctx, src, qs)
 		elapsed := time.Since(batchStart)
 		cancel()
-		if err != nil {
-			return rs.sourceFailed(n.Source, err)
+		if keep, err := rs.keepAnswer(n.Source, qerr); !keep {
+			return err
 		}
 		if len(res) != len(qs) {
 			return fmt.Errorf("engine: batch query to %s returned %d answers for %d queries", n.Source, len(res), len(qs))
@@ -346,7 +326,7 @@ func (n *QueryNode) fetchChunk(rs *runState, src wrapper.Source, qs []*msl.Rule,
 		return nil
 	}
 	for i, q := range qs {
-		objs, _, err := n.querySource(rs, src, q)
+		objs, err := n.querySource(rs, src, q)
 		if err != nil {
 			return err
 		}

@@ -112,8 +112,10 @@ func (rs *runState) observeNode(n Node, kids []*Table, out *Table, wall time.Dur
 // query node: to the statistics store the optimizer learns from, to the
 // run's trace (when recording), and to the process-wide metrics registry.
 func (rs *runState) recordExchange(n *QueryNode, queries int, d time.Duration) {
-	rs.ex.recordExchange(n.Source, queries)
-	rs.ex.recordLatency(n.Source, d)
+	if st := rs.ex.Stats; st != nil {
+		st.RecordExchange(n.Source, queries)
+		st.RecordLatency(n.Source, d)
+	}
 	rs.nodeObs(n).AddExchanges(1, queries)
 	rs.srcObs(n.Source).AddExchange(queries, d)
 	reg := metrics.Default()

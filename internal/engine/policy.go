@@ -2,12 +2,14 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"medmaker/internal/oem"
 	"medmaker/internal/trace"
+	"medmaker/internal/wrapper"
 )
 
 // ErrorMode says what the executor does when a source query fails or
@@ -119,7 +121,13 @@ func newRunState(ex *Executor, ctx context.Context, root Node) *runState {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	rs := &runState{ex: ex, ctx: ctx, deg: &degradation{policy: ex.Policy}}
+	rs := &runState{ex: ex, deg: &degradation{policy: ex.Policy}}
+	// Composite sources apply the timeout and circuit breaker per member.
+	var down func(string) bool
+	if ex.Policy.OnSourceError == OnErrorSkip {
+		down = rs.sourceDown
+	}
+	rs.ctx = wrapper.WithRunPolicy(ctx, ex.Policy.PerSourceTimeout, down)
 	if ex.Recorder != nil && root != nil {
 		rs.obs = newGraphObs(ex.Recorder, root)
 	}
@@ -183,6 +191,30 @@ func (rs *runState) sourceFailed(source string, err error) error {
 		rs.ex.Stats.RecordError(source, err)
 	}
 	return nil
+}
+
+// keepAnswer applies the failure policy to an exchange's error and
+// reports whether the answer stands: without error, or as a composite's
+// surviving union beside a *wrapper.PartialError, whose failed members
+// each count as a failure of their own unless already circuit-broken.
+// ferr is what the operator must propagate (see sourceFailed).
+func (rs *runState) keepAnswer(source string, err error) (keep bool, ferr error) {
+	if err == nil {
+		return true, nil
+	}
+	var pe *wrapper.PartialError
+	if !errors.As(err, &pe) {
+		return false, rs.sourceFailed(source, err)
+	}
+	for _, f := range pe.Failed {
+		if rs.sourceDown(f.Member) {
+			continue
+		}
+		if ferr := rs.sourceFailed(f.Member, f.Err); ferr != nil {
+			return false, ferr
+		}
+	}
+	return true, nil
 }
 
 // result assembles the run's Result from the output objects and the

@@ -41,12 +41,8 @@ type statEntry struct {
 // queries.
 const cardAlpha = 0.4
 
-// latAlpha and errAlpha weight the per-source latency and error-rate
-// EWMAs that replica routing scores members by.
-const (
-	latAlpha = 0.3
-	errAlpha = 0.25
-)
+// latAlpha weights new observations in each source's latency EWMA.
+const latAlpha = 0.3
 
 // DefaultStatsEntries bounds the shape-keyed entry map; recording a new
 // shape past the bound evicts the least recently touched entry and bumps
@@ -56,7 +52,8 @@ const DefaultStatsEntries = 4096
 // sourceEntry tracks per-source traffic: how many exchanges (network
 // round-trips) query nodes performed, how many queries those exchanges
 // carried (batching packs several per exchange), how the wrapper-level
-// answer cache fared, and the latency/error EWMAs replica routing reads.
+// answer cache fared, which failures were recorded, and the latency EWMA
+// the adaptive orderer reads.
 type sourceEntry struct {
 	exchanges   int
 	queries     int
@@ -66,7 +63,6 @@ type sourceEntry struct {
 	lastErrs    []error
 	latEWMA     float64 // seconds per exchange
 	latSeen     bool
-	errEWMA     float64 // in [0,1]: fraction of recent exchanges that failed
 }
 
 // maxSourceErrs bounds the per-source retained error list; the count keeps
@@ -127,9 +123,9 @@ func (s *Stats) RecordExchange(source string, queries int) {
 }
 
 // RecordLatency folds one successful exchange's wall time into the
-// source's latency EWMA and decays its error rate toward zero. The engine
-// reports every timed exchange here, so replica scores follow what the
-// engine actually observed rather than what the wrapper promises.
+// source's latency EWMA. The engine reports every timed exchange here, so
+// the adaptive orderer weighs sources by what the engine actually
+// observed rather than what the wrapper promises.
 func (s *Stats) RecordLatency(source string, d time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -141,7 +137,6 @@ func (s *Stats) RecordLatency(source string, d time.Duration) {
 	} else {
 		e.latEWMA += latAlpha * (sec - e.latEWMA)
 	}
-	e.errEWMA *= 1 - errAlpha
 }
 
 // SourceLatency returns the EWMA exchange latency observed for the source
@@ -153,31 +148,6 @@ func (s *Stats) SourceLatency(source string) (time.Duration, bool) {
 		return time.Duration(e.latEWMA * float64(time.Second)), true
 	}
 	return 0, false
-}
-
-// SourceErrorRate returns the EWMA failure fraction for the source in
-// [0,1] (zero when unobserved).
-func (s *Stats) SourceErrorRate(source string) float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if e, ok := s.sources[source]; ok {
-		return e.errEWMA
-	}
-	return 0
-}
-
-// ReplicaScore folds a source's latency and error EWMAs into one routing
-// score — lower is better. Unobserved members return (0, false) so the
-// router explores them before settling. Errors dominate: a member failing
-// every exchange scores far worse than a slow-but-healthy one.
-func (s *Stats) ReplicaScore(source string) (float64, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.sources[source]
-	if !ok || (!e.latSeen && e.errEWMA == 0) {
-		return 0, false
-	}
-	return e.latEWMA*(1+20*e.errEWMA) + e.errEWMA, true
 }
 
 // SourceExchanges returns how many exchanges were performed against the
@@ -251,8 +221,7 @@ func (s *Stats) CacheCounts(source string) (hits, misses int) {
 // RecordError adds one failed exchange against the source — a refusal,
 // a broken connection, or a per-source timeout. The run state reports
 // every policy-absorbed failure here, so the counters tell the cost model
-// (and the operator reading a trace) which sources are flaky, and the
-// error EWMA steers replica routing away from them.
+// (and the operator reading a trace) which sources are flaky.
 func (s *Stats) RecordError(source string, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -261,7 +230,6 @@ func (s *Stats) RecordError(source string, err error) {
 	if len(e.lastErrs) < maxSourceErrs {
 		e.lastErrs = append(e.lastErrs, err)
 	}
-	e.errEWMA += errAlpha * (1 - e.errEWMA)
 }
 
 // SourceErrorCount returns how many failed exchanges were recorded for

@@ -211,8 +211,8 @@ func (p *Planner) greedyOrder(patterns []*msl.PatternConjunct, base map[*msl.Pat
 
 // latencyWeight scales a source's cost by its observed exchange latency:
 // 1 for an unobserved or sub-millisecond source, growing linearly with
-// the EWMA latency. A replica set's routed latency and a remote
-// wrapper's round-trip both land here, so the order prefers touching
+// the EWMA latency. A replicated source's failover-inclusive latency and
+// a remote wrapper's round-trip both land here, so the order prefers touching
 // slow sources fewer times.
 func (p *Planner) latencyWeight(source string) float64 {
 	if p.stats == nil {

@@ -429,18 +429,7 @@ func (p *Planner) estimate(pc *msl.PatternConjunct) (float64, bool) {
 	if src, ok := p.sources.Lookup(pc.Source); ok {
 		if counter, can := src.(wrapper.Counter); can {
 			if n, ok := counter.CountLabel(label); ok {
-				est := float64(n)
-				// A partitioned source's count is the whole union, but a
-				// conjunct that pins the partition key routes to a single
-				// member and scans only its share of the extent. Learned
-				// statistics (above) need no such correction — they record
-				// observed answer sizes, which already reflect routing.
-				if sh, sharded := src.(wrapper.Sharded); sharded {
-					if _, bound := wrapper.ShardKey(pc.Pattern, sh.KeyLabel()); bound {
-						est /= float64(len(sh.Members()))
-					}
-				}
-				return est, true
+				return float64(n), true
 			}
 		}
 	}

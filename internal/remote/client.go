@@ -139,7 +139,7 @@ func (c *Client) QueryContext(ctx context.Context, q *msl.Rule) ([]*oem.Object, 
 	if err := respError(c.name, resp); err != nil {
 		return nil, err
 	}
-	return resp.Objects, nil
+	return resp.Objects, resp.partialError()
 }
 
 // QueryBatch implements wrapper.BatchQuerier: several queries travel in
@@ -176,7 +176,7 @@ func (c *Client) QueryBatchContext(ctx context.Context, qs []*msl.Rule) ([][]*oe
 		return nil, fmt.Errorf("remote: %s: batch answer carries %d result sets for %d queries",
 			c.name, len(resp.Batches), len(qs))
 	}
-	return resp.Batches, nil
+	return resp.Batches, resp.partialError()
 }
 
 // bindRequest packs qs as one bind request when every rule was bound

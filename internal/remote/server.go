@@ -389,15 +389,11 @@ func (s *Server) dispatchKind(req Request) Response {
 		ctx, cancel := reqContext(req)
 		objs, err := wrapper.QueryContext(ctx, s.source, rule)
 		cancel()
-		if err != nil {
-			resp := Response{Err: err.Error(), CtxErr: ctxErrKind(err)}
-			var ue *wrapper.UnsupportedError
-			if errors.As(err, &ue) {
-				resp.Unsupported = ue.Feature
-			}
-			return resp
+		resp := answerResponse(err)
+		if resp.Err == "" {
+			resp.Objects = objs
 		}
-		return Response{Objects: objs}
+		return resp
 	case reqBatch:
 		rules := make([]*msl.Rule, len(req.Queries))
 		for i, text := range req.Queries {
@@ -427,15 +423,11 @@ func (s *Server) queryBatch(req Request, rules []*msl.Rule) Response {
 	ctx, cancel := reqContext(req)
 	results, err := wrapper.QueryBatchContext(ctx, s.source, rules)
 	cancel()
-	if err != nil {
-		resp := Response{Err: err.Error(), CtxErr: ctxErrKind(err)}
-		var ue *wrapper.UnsupportedError
-		if errors.As(err, &ue) {
-			resp.Unsupported = ue.Feature
-		}
-		return resp
+	resp := answerResponse(err)
+	if resp.Err == "" {
+		resp.Batches = results
 	}
-	return Response{Batches: results}
+	return resp
 }
 
 // maxBindCopy bounds a bind request's amplification: binding may copy at

@@ -17,6 +17,8 @@
 package remote
 
 import (
+	"errors"
+
 	"medmaker/internal/metrics"
 	"medmaker/internal/oem"
 	"medmaker/internal/wrapper"
@@ -114,6 +116,50 @@ type Response struct {
 	// Proto, on a hello response, is ProtoFramed when the server accepted
 	// the client's version; a refused hello carries Err instead.
 	Proto int
+	// Failed marks a query or batch answer as a partitioned source's
+	// surviving union; the client returns it with a *wrapper.PartialError.
+	Failed []FailedMember
+}
+
+// FailedMember is a *wrapper.ShardError on the wire.
+type FailedMember struct {
+	Source, Member string
+	Shard          int
+	Err            string
+}
+
+// answerResponse is the envelope for an evaluation that ended with err;
+// the caller adds the answer unless Err is set.
+func answerResponse(err error) Response {
+	if err == nil {
+		return Response{}
+	}
+	var pe *wrapper.PartialError
+	if errors.As(err, &pe) {
+		failed := make([]FailedMember, len(pe.Failed))
+		for i, f := range pe.Failed {
+			failed[i] = FailedMember{Source: f.Source, Member: f.Member, Shard: f.Shard, Err: f.Err.Error()}
+		}
+		return Response{Failed: failed}
+	}
+	resp := Response{Err: err.Error(), CtxErr: ctxErrKind(err)}
+	var ue *wrapper.UnsupportedError
+	if errors.As(err, &ue) {
+		resp.Unsupported = ue.Feature
+	}
+	return resp
+}
+
+// partialError rebuilds a partial answer's *wrapper.PartialError.
+func (r Response) partialError() error {
+	if len(r.Failed) == 0 {
+		return nil
+	}
+	pe := &wrapper.PartialError{Failed: make([]*wrapper.ShardError, len(r.Failed))}
+	for i, f := range r.Failed {
+		pe.Failed[i] = &wrapper.ShardError{Source: f.Source, Member: f.Member, Shard: f.Shard, Err: errors.New(f.Err)}
+	}
+	return pe
 }
 
 // WireObject is what an answer object is on the wire: the object itself,

@@ -114,3 +114,32 @@ func TestGenStaffShardedRejectsZeroShards(t *testing.T) {
 		t.Fatal("zero shards accepted")
 	}
 }
+
+// TestShardOfBalancesWorkloadNames: the generator's partition keys — full
+// names "Fdddd Ldddd" for whois, last names "Ldddd" for cs — spread within
+// ±10% of an even share over every shard at 2, 4 and 8 shards. Keys of one
+// character layout differ only in their digits, which an unmixed FNV-1a
+// modulo a power of two cannot tell apart.
+func TestShardOfBalancesWorkloadNames(t *testing.T) {
+	const names = 20000
+	for _, n := range []int{2, 4, 8} {
+		for _, key := range []struct {
+			what string
+			of   func(i int) string
+		}{
+			{"full name", func(i int) string { return fmt.Sprintf("F%04d L%04d", i, i) }},
+			{"last name", func(i int) string { return fmt.Sprintf("L%04d", i) }},
+		} {
+			counts := make([]int, n)
+			for i := 0; i < names; i++ {
+				counts[ShardOf(key.of(i), n)]++
+			}
+			even := float64(names) / float64(n)
+			for s, c := range counts {
+				if float64(c) < 0.9*even || float64(c) > 1.1*even {
+					t.Fatalf("%d shards, %s keys: shard %d holds %d (counts %v), want %.0f±10%%", n, key.what, s, c, counts, even)
+				}
+			}
+		}
+	}
+}

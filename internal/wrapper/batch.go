@@ -19,6 +19,17 @@ type BatchQuerier interface {
 	QueryBatch(qs []*msl.Rule) ([][]*oem.Object, error)
 }
 
+// Batches reports whether src answers a batch in one call (it implements
+// BatchQuerier or ContextBatchQuerier) rather than one query after
+// another.
+func Batches(src Source) bool {
+	switch src.(type) {
+	case BatchQuerier, ContextBatchQuerier:
+		return true
+	}
+	return false
+}
+
 // QueryBatch answers several queries against src in as few exchanges as
 // the source allows: one, when src implements BatchQuerier, otherwise one
 // Query call per rule. The returned slice is parallel to qs.

@@ -47,7 +47,8 @@ type CacheStats struct {
 // explicitly: entries live until evicted, expired by TTL, or dropped by
 // Invalidate. Cached result objects are shared between callers and must
 // be treated as immutable (the engine copies source material before
-// mutating it, so this holds throughout MedMaker).
+// mutating it, so this holds throughout MedMaker). Errors are not cached,
+// and a partial answer (see PartialError) passes through unstored.
 //
 // Cache implements BatchQuerier whether or not the inner source does:
 // batched lookups answer hits locally and forward only the misses, in one
@@ -187,10 +188,7 @@ func (c *Cache) QueryContext(ctx context.Context, q *msl.Rule) ([]*oem.Object, e
 		delete(c.inflight, key)
 		c.mu.Unlock()
 		close(f.done)
-		if err != nil {
-			return nil, err
-		}
-		return objs, nil
+		return objs, err
 	}
 }
 
@@ -254,7 +252,8 @@ func (c *Cache) QueryBatchContext(ctx context.Context, qs []*msl.Rule) ([][]*oem
 		missed[j] = qs[i]
 	}
 	fetched, err := QueryBatchContext(ctx, c.inner, missed)
-	if err != nil {
+	var pe *PartialError
+	if err != nil && !(errors.As(err, &pe) && len(fetched) == len(missed)) {
 		var qe *QueryError
 		if errors.As(err, &qe) && qe.Index < len(missIdx) {
 			return nil, &QueryError{Source: qe.Source, Index: missIdx[qe.Index], Err: qe.Err}
@@ -263,9 +262,11 @@ func (c *Cache) QueryBatchContext(ctx context.Context, qs []*msl.Rule) ([][]*oem
 	}
 	for j, i := range missIdx {
 		out[i] = fetched[j]
-		c.store(keys[i], fetched[j])
+		if err == nil {
+			c.store(keys[i], fetched[j])
+		}
 	}
-	return out, nil
+	return out, err
 }
 
 // CountLabel implements Counter when the inner source does; counts are

@@ -4,41 +4,33 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"sync"
 
+	"medmaker/internal/metrics"
 	"medmaker/internal/msl"
 	"medmaker/internal/oem"
 )
 
-// Sharded is the interface the engine uses to recognize a source whose
-// extent is horizontally partitioned over member sources. The engine
-// bypasses the composite's own Query and scatters (or routes) itself, so
-// each member exchange runs under the run's failure policy with
-// per-member error attribution.
-type Sharded interface {
-	Source
-	// Members returns the member sources in shard order. The slice is
-	// owned by the source; callers must not mutate it.
-	Members() []Source
-	// KeyLabel is the subobject label whose value the extent is hashed
-	// on (e.g. "name"): every top-level object lives in the member
-	// ShardIndex(key, len(Members())) selects.
-	KeyLabel() string
-	// ShardFor reports the single member that can answer q — a query
-	// whose pattern binds the partition key to a constant — and ok=false
-	// when q must scatter to every member.
-	ShardFor(q *msl.Rule) (int, bool)
-}
-
-// ShardIndex maps a partition-key value to a member index in [0, n) with
-// a stable FNV-1a hash, so data loaders and query routing agree across
-// processes and runs.
+// ShardIndex maps a partition-key value to a member index in [0, n):
+// FNV-1a 64 of the key, mixed by the murmur3 finalizer before the
+// modulo. The mix matters: the low bits of FNV-1a depend only on the low
+// bits of each byte, so keys sharing a character layout (workload names
+// "Fdddd Ldddd") would otherwise fill half the shards of any power-of-two
+// count and leave the rest empty. The hash is stable, so data loaders and
+// query routing agree across processes and runs.
 func ShardIndex(key string, n int) int {
 	if n <= 1 {
 		return 0
 	}
 	h := fnv.New64a()
 	h.Write([]byte(key))
-	return int(h.Sum64() % uint64(n))
+	x := h.Sum64()
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return int(x % uint64(n))
 }
 
 // ShardKey extracts the constant the pattern binds the partition key to:
@@ -64,32 +56,12 @@ func ShardKey(p *msl.ObjectPattern, keyLabel string) (string, bool) {
 	return "", false
 }
 
-// ShardError attributes a failure inside a partitioned source to the
-// member shard that produced it.
-type ShardError struct {
-	// Source is the partitioned source's logical name.
-	Source string
-	// Member is the failing member's name; Shard its index.
-	Member string
-	Shard  int
-	// Err is the member's error.
-	Err error
-}
-
-// Error implements error.
-func (e *ShardError) Error() string {
-	return fmt.Sprintf("wrapper: partitioned source %q shard %d (%s): %v", e.Source, e.Shard, e.Member, e.Err)
-}
-
-// Unwrap exposes the member's error to errors.Is/As.
-func (e *ShardError) Unwrap() error { return e.Err }
-
 // Partitioned presents N member sources holding a hash-partitioned
 // extent as one logical source: every top-level object lives in exactly
-// one member, chosen by ShardIndex over the value of its KeyLabel
+// one member, chosen by ShardIndex over the value of its key-label
 // subobject. Queries that bind the key to a constant route to the one
 // member that can hold matches; all other queries scatter to every
-// member and gather the union.
+// member concurrently and gather the union.
 //
 // Capabilities are the intersection of the members' capabilities with
 // MultiPattern forced off: a multi-pattern query is a source-local join,
@@ -98,25 +70,19 @@ func (e *ShardError) Unwrap() error { return e.Err }
 // wholly inside one member. The mediator's optimizer reacts as it does
 // to any capability-poor source, decomposing joins above the partition.
 //
-// When registered in a mediator, the engine recognizes Partitioned (via
-// Sharded) and performs the scatter itself on its worker pool under the
-// run's ExecPolicy, so one failed shard yields a partial, Incomplete
-// result instead of failing the query. Direct calls to Query and
-// QueryContext scatter here instead, and any member failure fails the
-// whole query with a *ShardError naming the shard.
+// A member failure does not fail the call: the survivors' union comes
+// back with a *PartialError naming each failed member, so the partition
+// degrades the same way registered in a mediator, behind an answer cache
+// or served over the wire.
 type Partitioned struct {
-	name     string
+	composite
 	keyLabel string
-	members  []Source
-	caps     Capabilities
 }
 
 var (
-	_ Source               = (*Partitioned)(nil)
 	_ ContextSource        = (*Partitioned)(nil)
 	_ ContextBatchQuerier  = (*Partitioned)(nil)
 	_ Counter              = (*Partitioned)(nil)
-	_ Sharded              = (*Partitioned)(nil)
 	_ InvalidationNotifier = (*Partitioned)(nil)
 	_ Notifier             = (*Partitioned)(nil)
 )
@@ -125,46 +91,20 @@ var (
 // by the value of the keyLabel subobject. Member order is shard order and
 // must match the order the data was partitioned in.
 func NewPartitioned(name, keyLabel string, members ...Source) (*Partitioned, error) {
-	if name == "" {
-		return nil, fmt.Errorf("wrapper: partitioned source needs a name")
+	c, err := newComposite("partitioned", name, members)
+	if err != nil {
+		return nil, err
 	}
 	if keyLabel == "" {
 		return nil, fmt.Errorf("wrapper: partitioned source %q needs a partition key label", name)
 	}
-	if len(members) == 0 {
-		return nil, fmt.Errorf("wrapper: partitioned source %q needs at least one member", name)
-	}
-	caps := FullCapabilities()
-	seen := make(map[string]bool, len(members))
-	for _, m := range members {
-		if seen[m.Name()] {
-			return nil, fmt.Errorf("wrapper: partitioned source %q has two members named %q", name, m.Name())
-		}
-		seen[m.Name()] = true
-		mc := m.Capabilities()
-		caps.ValueConditions = caps.ValueConditions && mc.ValueConditions
-		caps.RestConstraints = caps.RestConstraints && mc.RestConstraints
-		caps.Wildcards = caps.Wildcards && mc.Wildcards
-	}
-	caps.MultiPattern = false
-	return &Partitioned{name: name, keyLabel: keyLabel, members: members, caps: caps}, nil
+	c.caps.MultiPattern = false
+	return &Partitioned{composite: c, keyLabel: keyLabel}, nil
 }
 
-// Name implements Source.
-func (p *Partitioned) Name() string { return p.name }
-
-// Capabilities implements Source: the members' intersection, multi-pattern
-// queries excluded (see the type comment).
-func (p *Partitioned) Capabilities() Capabilities { return p.caps }
-
-// Members implements Sharded.
-func (p *Partitioned) Members() []Source { return p.members }
-
-// KeyLabel implements Sharded.
-func (p *Partitioned) KeyLabel() string { return p.keyLabel }
-
-// ShardFor implements Sharded: a query routes when its single positive
-// pattern conjunct pins the partition key to a constant.
+// ShardFor reports the single member that can answer q — a query whose
+// single positive pattern conjunct pins the partition key to a constant —
+// and ok=false when q must scatter to every member.
 func (p *Partitioned) ShardFor(q *msl.Rule) (int, bool) {
 	var pat *msl.ObjectPattern
 	for _, conj := range q.Tail {
@@ -201,73 +141,136 @@ func (p *Partitioned) QueryContext(ctx context.Context, q *msl.Rule) ([]*oem.Obj
 	if err := CheckCapabilities(q, p.caps, p.name); err != nil {
 		return nil, err
 	}
-	if shard, ok := p.ShardFor(q); ok {
-		objs, err := QueryContext(ctx, p.members[shard], q)
-		if err != nil {
-			return nil, &ShardError{Source: p.name, Member: p.members[shard].Name(), Shard: shard, Err: err}
-		}
-		return objs, nil
-	}
-	perShard := make([][]*oem.Object, len(p.members))
-	errs := make([]error, len(p.members))
-	done := make(chan int, len(p.members))
-	for i := range p.members {
-		go func(i int) {
-			perShard[i], errs[i] = QueryContext(ctx, p.members[i], q)
-			done <- i
-		}(i)
-	}
-	for range p.members {
-		<-done
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, &ShardError{Source: p.name, Member: p.members[i].Name(), Shard: i, Err: err}
-		}
-	}
-	return gatherUnion(perShard), nil
+	res, err := p.answer(ctx, []*msl.Rule{q}, false)
+	return res[0], err
 }
 
-// QueryBatchContext implements ContextBatchQuerier: routable queries are
-// grouped into one sub-batch per member (so a batch of k point queries
-// still costs at most one exchange per member), the rest scatter
-// individually. The result slice is parallel to qs.
+// QueryBatchContext implements ContextBatchQuerier: the routable queries
+// of one member travel as one sub-batch, so a batch of k point queries
+// still costs at most one exchange per member. The result slice is
+// parallel to qs.
 func (p *Partitioned) QueryBatchContext(ctx context.Context, qs []*msl.Rule) ([][]*oem.Object, error) {
-	out := make([][]*oem.Object, len(qs))
-	groups := make([][]int, len(p.members))
 	for i, q := range qs {
 		if err := CheckCapabilities(q, p.caps, p.name); err != nil {
 			return nil, &QueryError{Source: p.name, Index: i, Err: err}
 		}
-		if shard, ok := p.ShardFor(q); ok {
-			groups[shard] = append(groups[shard], i)
-			continue
-		}
-		objs, err := p.QueryContext(ctx, q)
-		if err != nil {
-			return nil, &QueryError{Source: p.name, Index: i, Err: err}
-		}
-		out[i] = objs
 	}
-	for shard, idxs := range groups {
-		if len(idxs) == 0 {
+	return p.answer(ctx, qs, true)
+}
+
+// answer routes each query to its key's shard or scatters it to every
+// member. A member's share — its routed queries, then its part of each
+// scatter — runs concurrently with the others' under the caller's run
+// policy (see enterMembers), and ends at its first failed call. When
+// batch is set and the member batches, its routed queries travel as one
+// sub-batch; otherwise each query is its own call, with its own
+// per-member timeout.
+func (p *Partitioned) answer(ctx context.Context, qs []*msl.Rule, batch bool) ([][]*oem.Object, error) {
+	routed := make([][]int, len(p.members))
+	var scatter []int
+	for i, q := range qs {
+		if shard, ok := p.ShardFor(q); ok {
+			routed[shard] = append(routed[shard], i)
+		} else {
+			scatter = append(scatter, i)
+		}
+	}
+	reg := metrics.Default()
+	reg.Counter("shard.routed").Add(int64(len(qs) - len(scatter)))
+	reg.Counter("shard.scatter").Add(int64(len(scatter)))
+
+	out := make([][]*oem.Object, len(qs))
+	// perShard[j][shard] is the shard's part of the j'th scatter.
+	perShard := make([][][]*oem.Object, len(scatter))
+	for j := range perShard {
+		perShard[j] = make([][]*oem.Object, len(p.members))
+	}
+	scope, release := enterMembers(ctx)
+	defer release()
+	call := func(fn func(context.Context) error) error {
+		err := scope.call(fn)
+		if err == nil {
+			reg.Counter("shard.exchanges").Inc()
+		}
+		return err
+	}
+	share := func(shard int) error {
+		m, idx := p.members[shard], routed[shard]
+		if batch && len(idx) > 0 && Batches(m) {
+			sub := make([]*msl.Rule, len(idx))
+			for j, i := range idx {
+				sub[j] = qs[i]
+			}
+			if err := call(func(ctx context.Context) error {
+				res, err := QueryBatchContext(ctx, m, sub)
+				if err == nil && len(res) != len(idx) {
+					err = fmt.Errorf("answered %d of %d queries", len(res), len(idx))
+				}
+				for j := 0; err == nil && j < len(idx); j++ {
+					out[idx[j]] = res[j]
+				}
+				return err
+			}); err != nil {
+				return err
+			}
+			idx = nil
+		}
+		one := func(dst *[]*oem.Object, q *msl.Rule) error {
+			return call(func(ctx context.Context) (err error) {
+				*dst, err = QueryContext(ctx, m, q)
+				return err
+			})
+		}
+		for _, i := range idx {
+			if err := one(&out[i], qs[i]); err != nil {
+				return err
+			}
+		}
+		for j, i := range scatter {
+			if err := one(&perShard[j][shard], qs[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	errs := make([]error, len(p.members))
+	var busy []int
+	for shard, idx := range routed {
+		switch {
+		case len(idx) == 0 && len(scatter) == 0:
+		case scope.skip(p.members[shard]):
+			errs[shard] = errMemberDown
+		default:
+			busy = append(busy, shard)
+		}
+	}
+	// The first share runs on the caller's goroutine: a routed query
+	// spawns none.
+	var wg sync.WaitGroup
+	for k := 1; k < len(busy); k++ {
+		wg.Add(1)
+		go func(shard int) { defer wg.Done(); errs[shard] = share(shard) }(busy[k])
+	}
+	if len(busy) > 0 {
+		errs[busy[0]] = share(busy[0])
+	}
+	wg.Wait()
+	for j, i := range scatter {
+		out[i] = GatherUnion(perShard[j])
+	}
+	var failed []*ShardError
+	for shard, err := range errs {
+		if err == nil {
 			continue
 		}
-		sub := make([]*msl.Rule, len(idxs))
-		for j, i := range idxs {
-			sub[j] = qs[i]
+		if err != errMemberDown {
+			reg.Counter("shard.failures").Inc()
 		}
-		res, err := QueryBatchContext(ctx, p.members[shard], sub)
-		if err != nil {
-			return nil, &ShardError{Source: p.name, Member: p.members[shard].Name(), Shard: shard, Err: err}
-		}
-		if len(res) != len(idxs) {
-			return nil, fmt.Errorf("wrapper: partitioned source %q shard %d answered %d of %d queries",
-				p.name, shard, len(res), len(idxs))
-		}
-		for j, i := range idxs {
-			out[i] = res[j]
-		}
+		failed = append(failed, p.memberError(shard, err))
+	}
+	if failed != nil {
+		return out, &PartialError{Failed: failed}
 	}
 	return out, nil
 }
@@ -290,17 +293,6 @@ func (p *Partitioned) CountLabel(label string) (int, bool) {
 	return total, true
 }
 
-// OnInvalidate implements InvalidationNotifier by forwarding the
-// registration to every member that notifies — an invalidation anywhere
-// in the partition invalidates derived state over the whole extent.
-func (p *Partitioned) OnInvalidate(fn func()) {
-	for _, m := range p.members {
-		if n, ok := m.(InvalidationNotifier); ok {
-			n.OnInvalidate(fn)
-		}
-	}
-}
-
 // OnChange implements Notifier by forwarding the registration to every
 // member with a change feed; member deltas are re-labelled with the
 // composite's name, since consumers know the partition only as one
@@ -321,9 +313,7 @@ func (p *Partitioned) OnChange(fn func(Delta)) {
 // structural duplicates — the cross-shard half of the duplicate
 // elimination a single source's evaluation would have applied to its
 // bindings. Within one shard the member already deduplicated.
-func GatherUnion(perShard [][]*oem.Object) []*oem.Object { return gatherUnion(perShard) }
-
-func gatherUnion(perShard [][]*oem.Object) []*oem.Object {
+func GatherUnion(perShard [][]*oem.Object) []*oem.Object {
 	total := 0
 	for _, objs := range perShard {
 		total += len(objs)

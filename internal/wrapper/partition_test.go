@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"medmaker/internal/msl"
 	"medmaker/internal/oem"
@@ -135,6 +136,9 @@ func TestNewPartitionedRejectsBadConfig(t *testing.T) {
 	if _, err := wrapper.NewPartitioned("p", "name", m, oemstore.New("m")); err == nil {
 		t.Fatal("duplicate member names accepted")
 	}
+	if _, err := wrapper.NewPartitioned("m", "name", m); err == nil {
+		t.Fatal("member named like the composite accepted")
+	}
 }
 
 func TestPartitionedCapabilities(t *testing.T) {
@@ -258,6 +262,48 @@ func TestPartitionedBatch(t *testing.T) {
 	}
 }
 
+// laggingSource answers every query after delay and does not batch.
+type laggingSource struct {
+	wrapper.Source
+	delay time.Duration
+}
+
+func (l *laggingSource) Query(q *msl.Rule) ([]*oem.Object, error) {
+	time.Sleep(l.delay)
+	return l.Source.Query(q)
+}
+
+// TestPartitionedPerQueryTimeout: a member that does not batch answers
+// its routed queries one call at a time, each under its own per-member
+// timeout, so a slow but healthy member is not failed for the group's
+// total time.
+func TestPartitionedPerQueryTimeout(t *testing.T) {
+	const delay = 20 * time.Millisecond
+	_, counters := partitionedPeople(t, 2, 20)
+	members := make([]wrapper.Source, len(counters))
+	for i, c := range counters {
+		members[i] = &laggingSource{Source: c.Source, delay: delay}
+	}
+	p, err := wrapper.NewPartitioned("whois", "name", members...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := make([]*msl.Rule, 0, 10)
+	for i := 0; i < 10; i++ {
+		qs = append(qs, msl.MustParseRule(fmt.Sprintf(`<out X> :- X:<person {<name 'P%03d'>}>@whois.`, i)))
+	}
+	ctx := wrapper.WithRunPolicy(context.Background(), 3*delay, nil)
+	res, err := p.QueryBatchContext(ctx, qs)
+	if err != nil {
+		t.Fatalf("slow but healthy members failed a routed batch: %v", err)
+	}
+	for i, objs := range res {
+		if len(objs) != 1 {
+			t.Fatalf("point query %d returned %d objects", i, len(objs))
+		}
+	}
+}
+
 func TestPartitionedCountLabel(t *testing.T) {
 	stores := make([]wrapper.Source, 3)
 	gen := oem.NewIDGen("cl")
@@ -318,4 +364,74 @@ func TestGatherUnionDedups(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("gather kept %d objects, want 3 after cross-shard dedup", len(got))
 	}
+}
+
+// TestPartitionedPartialAnswer: a failed member does not fail the call —
+// the survivors' union comes back with a *PartialError naming the member,
+// for single and batched queries, through the answer cache (which stores
+// nothing partial), and a member the run has circuit-broken is skipped
+// without being called but still named, so the cache stores nothing
+// then either.
+func TestPartitionedPartialAnswer(t *testing.T) {
+	_, counters := partitionedPeople(t, 4, 40)
+	const dead = 1
+	members := make([]wrapper.Source, 4)
+	for i, c := range counters {
+		members[i] = c
+	}
+	members[dead] = &failingSource{name: "whois1"}
+	live := 0
+	for i, c := range counters {
+		if i != dead {
+			live += c.Source.(*oemstore.Source).Len()
+		}
+	}
+	p, err := wrapper.NewPartitioned("whois", "name", members...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := msl.MustParseRule(`<out X> :- X:<person {<dept 'CS'>}>@whois.`)
+	checkPartial := func(what string, objs []*oem.Object, err error) {
+		t.Helper()
+		var pe *wrapper.PartialError
+		if !errors.As(err, &pe) || len(pe.Failed) != 1 || pe.Failed[0].Member != "whois1" || pe.Failed[0].Shard != dead {
+			t.Fatalf("%s: error %v, want a partial answer without whois1", what, err)
+		}
+		if len(objs) != live {
+			t.Fatalf("%s: %d objects, want the %d the live shards hold", what, len(objs), live)
+		}
+	}
+	objs, err := p.Query(scan)
+	checkPartial("scatter", objs, err)
+	res, err := p.QueryBatchContext(context.Background(), []*msl.Rule{scan, scan})
+	if len(res) != 2 {
+		t.Fatalf("batch answered %d result sets", len(res))
+	}
+	checkPartial("batched scatter", res[1], err)
+
+	cache := wrapper.NewCache(p, wrapper.CacheOptions{})
+	for i := 0; i < 2; i++ {
+		objs, err := cache.Query(scan)
+		checkPartial("cached scatter", objs, err)
+	}
+	if s := cache.Stats(); s.Entries != 0 || s.Hits != 0 {
+		t.Fatalf("cache stored a partial answer: %+v", s)
+	}
+
+	down := func(member string) bool { return member == "whois1" }
+	ctx := wrapper.WithRunPolicy(context.Background(), 0, down)
+	for i := 0; i < 2; i++ {
+		objs, err = cache.QueryContext(ctx, scan)
+		checkPartial("circuit-broken member", objs, err)
+		var pe *wrapper.PartialError
+		if errors.As(err, &pe) && pe.Failed[0].Err.Error() == "shard down" {
+			t.Fatalf("circuit-broken member was called: %v", err)
+		}
+	}
+	if s := cache.Stats(); s.Entries != 0 || s.Hits != 0 {
+		t.Fatalf("cache stored an answer without a circuit-broken member: %+v", s)
+	}
+	// An inner run's zero policy masks the outer run's.
+	objs, err = p.QueryContext(wrapper.WithRunPolicy(ctx, 0, nil), scan)
+	checkPartial("masked run policy", objs, err)
 }

@@ -3,44 +3,14 @@ package wrapper
 import (
 	"context"
 	"fmt"
+	"sort"
+	"sync"
+	"time"
 
+	"medmaker/internal/metrics"
 	"medmaker/internal/msl"
 	"medmaker/internal/oem"
 )
-
-// Replicated is the interface the engine uses to recognize a source
-// backed by N answer-equivalent replicas. Unlike Sharded members —
-// which each hold a disjoint slice of the extent — every replica holds
-// the whole extent, so any single member can answer any query. The
-// engine bypasses the composite's own Query and routes each exchange to
-// the member with the best observed latency/error score, failing over to
-// the next-best member on error (hedged execution under the run's
-// ExecPolicy).
-type Replicated interface {
-	Source
-	// Replicas returns the member sources in registration order. The
-	// slice is owned by the source; callers must not mutate it.
-	Replicas() []Source
-}
-
-// ReplicaError attributes a failure inside a replicated source to the
-// member that produced it.
-type ReplicaError struct {
-	// Source is the replicated source's logical name.
-	Source string
-	// Member is the failing member's name.
-	Member string
-	// Err is the member's error.
-	Err error
-}
-
-// Error implements error.
-func (e *ReplicaError) Error() string {
-	return fmt.Sprintf("wrapper: replicated source %q member %s: %v", e.Source, e.Member, e.Err)
-}
-
-// Unwrap exposes the member's error to errors.Is/As.
-func (e *ReplicaError) Unwrap() error { return e.Err }
 
 // Replicas presents N answer-equivalent member sources as one logical
 // source. Capabilities are the field-wise intersection of the members'
@@ -48,92 +18,66 @@ func (e *ReplicaError) Unwrap() error { return e.Err }
 // the whole query (contrast Partitioned, where a per-shard join would
 // miss cross-shard pairs).
 //
-// When registered in a mediator, the engine recognizes Replicated and
-// routes each exchange itself: members are ranked by the latency and
-// error-rate EWMAs the statistics store accumulated for them, the
-// best-scoring healthy member is tried first, and an error fails over to
-// the next member instead of failing the exchange. Direct calls to Query
-// and QueryContext try members in registration order, failing over the
-// same way; only if every member fails does the call fail, with a
-// *ReplicaError naming the last member tried.
+// Each call goes to the best-ranked member and fails over to the next on
+// error; only if every member fails does the call fail, with a
+// *ReplicaError naming the last member tried. The ranking is by the
+// composite's own per-member latency and error-rate EWMAs, unobserved
+// members first; successful calls decay a member's error rate, so a
+// recovered member wins traffic back.
 type Replicas struct {
-	name    string
-	members []Source
-	caps    Capabilities
+	composite
+	mu     sync.Mutex
+	health []replicaHealth // parallel to members
 }
 
+// replicaHealth is one member's observed behaviour.
+type replicaHealth struct {
+	lat     float64 // EWMA seconds per successful call
+	latSeen bool
+	errRate float64 // EWMA in [0,1]: fraction of recent calls that failed
+}
+
+// latAlpha and errAlpha weight new observations in the member EWMAs.
+const (
+	latAlpha = 0.3
+	errAlpha = 0.25
+)
+
 var (
-	_ Source               = (*Replicas)(nil)
 	_ ContextSource        = (*Replicas)(nil)
 	_ ContextBatchQuerier  = (*Replicas)(nil)
 	_ Counter              = (*Replicas)(nil)
-	_ Replicated           = (*Replicas)(nil)
 	_ InvalidationNotifier = (*Replicas)(nil)
 	_ Notifier             = (*Replicas)(nil)
 )
 
 // NewReplicated builds the logical source name over answer-equivalent
-// members. Member order is the failover order used before any routing
-// statistics exist.
+// members. Member order breaks ties in the ranking, so it is the
+// failover order before any call has been observed.
 func NewReplicated(name string, members ...Source) (*Replicas, error) {
-	if name == "" {
-		return nil, fmt.Errorf("wrapper: replicated source needs a name")
+	c, err := newComposite("replicated", name, members)
+	if err != nil {
+		return nil, err
 	}
-	if len(members) == 0 {
-		return nil, fmt.Errorf("wrapper: replicated source %q needs at least one member", name)
-	}
-	caps := FullCapabilities()
-	seen := make(map[string]bool, len(members))
-	for _, m := range members {
-		if m.Name() == name {
-			return nil, fmt.Errorf("wrapper: replicated source %q cannot contain a member with its own name", name)
-		}
-		if seen[m.Name()] {
-			return nil, fmt.Errorf("wrapper: replicated source %q has two members named %q", name, m.Name())
-		}
-		seen[m.Name()] = true
-		mc := m.Capabilities()
-		caps.ValueConditions = caps.ValueConditions && mc.ValueConditions
-		caps.RestConstraints = caps.RestConstraints && mc.RestConstraints
-		caps.Wildcards = caps.Wildcards && mc.Wildcards
-		caps.MultiPattern = caps.MultiPattern && mc.MultiPattern
-	}
-	return &Replicas{name: name, members: members, caps: caps}, nil
+	return &Replicas{composite: c, health: make([]replicaHealth, len(members))}, nil
 }
-
-// Name implements Source.
-func (r *Replicas) Name() string { return r.name }
-
-// Capabilities implements Source: the members' field-wise intersection.
-func (r *Replicas) Capabilities() Capabilities { return r.caps }
-
-// Replicas implements Replicated.
-func (r *Replicas) Replicas() []Source { return r.members }
 
 // Query implements Source.
 func (r *Replicas) Query(q *msl.Rule) ([]*oem.Object, error) {
 	return r.QueryContext(context.Background(), q)
 }
 
-// QueryContext implements ContextSource: members are tried in
-// registration order and an error fails over to the next; only if every
-// member fails does the query fail.
+// QueryContext implements ContextSource with failover in ranked order.
 func (r *Replicas) QueryContext(ctx context.Context, q *msl.Rule) ([]*oem.Object, error) {
 	if err := CheckCapabilities(q, r.caps, r.name); err != nil {
 		return nil, err
 	}
-	var lastErr error
-	for _, m := range r.members {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		objs, err := QueryContext(ctx, m, q)
-		if err == nil {
-			return objs, nil
-		}
-		lastErr = &ReplicaError{Source: r.name, Member: m.Name(), Err: err}
-	}
-	return nil, lastErr
+	var objs []*oem.Object
+	err := r.failover(ctx, func(ctx context.Context, m Source) (err error) {
+		objs, err = QueryContext(ctx, m, q)
+		return err
+	})
+	return objs, err
 }
 
 // QueryBatchContext implements ContextBatchQuerier with the same
@@ -145,22 +89,97 @@ func (r *Replicas) QueryBatchContext(ctx context.Context, qs []*msl.Rule) ([][]*
 			return nil, &QueryError{Source: r.name, Index: i, Err: err}
 		}
 	}
-	var lastErr error
-	for _, m := range r.members {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	var res [][]*oem.Object
+	err := r.failover(ctx, func(ctx context.Context, m Source) (err error) {
+		if res, err = QueryBatchContext(ctx, m, qs); err == nil && len(res) != len(qs) {
+			err = fmt.Errorf("answered %d of %d queries", len(res), len(qs))
 		}
-		res, err := QueryBatchContext(ctx, m, qs)
-		if err == nil {
-			if len(res) != len(qs) {
-				return nil, fmt.Errorf("wrapper: replicated source %q member %s answered %d of %d queries",
-					r.name, m.Name(), len(res), len(qs))
-			}
-			return res, nil
-		}
-		lastErr = &ReplicaError{Source: r.name, Member: m.Name(), Err: err}
+		return err
+	})
+	if _, allDown := err.(*PartialError); allDown {
+		res = make([][]*oem.Object, len(qs))
 	}
-	return nil, lastErr
+	return res, err
+}
+
+// failover makes call against the members in ranked order until one
+// succeeds, recording each outcome in the member's EWMAs. It returns nil
+// on success, the run's error once the run is over, a *PartialError
+// naming every member when the run has circuit-broken them all, and else
+// the last member's *ReplicaError.
+func (r *Replicas) failover(ctx context.Context, call func(context.Context, Source) error) error {
+	scope, release := enterMembers(ctx)
+	defer release()
+	reg := metrics.Default()
+	var lastErr error
+	for _, i := range r.ranked() {
+		m := r.members[i]
+		if scope.skip(m) {
+			continue
+		}
+		if err := scope.ctx.Err(); err != nil {
+			return err
+		}
+		start := time.Now()
+		err := scope.call(func(ctx context.Context) error { return call(ctx, m) })
+		r.observe(i, time.Since(start), err)
+		if err != nil {
+			lastErr = r.memberError(i, err)
+			reg.Counter("replica.failover").Inc()
+			continue
+		}
+		reg.Counter("replica.exchanges").Inc()
+		reg.Counter("replica.routed." + m.Name()).Inc()
+		return nil
+	}
+	if lastErr == nil {
+		pe := &PartialError{}
+		for i := range r.members {
+			pe.Failed = append(pe.Failed, r.memberError(i, errMemberDown))
+		}
+		return pe
+	}
+	return lastErr
+}
+
+// ranked returns the member indices in failover order: unobserved
+// members first, then by ascending score, in which errors dominate — a
+// member failing every call ranks far below a slow but healthy one. Ties
+// keep registration order.
+func (r *Replicas) ranked() []int {
+	r.mu.Lock()
+	scores := make([]float64, len(r.health))
+	for i, h := range r.health {
+		scores[i] = -1
+		if h.latSeen || h.errRate > 0 {
+			scores[i] = h.lat*(1+20*h.errRate) + h.errRate
+		}
+	}
+	r.mu.Unlock()
+	order := make([]int, len(scores))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return scores[order[a]] < scores[order[b]] })
+	return order
+}
+
+// observe folds one member call into the member's EWMAs: a success
+// updates its latency and decays its error rate, a failure raises it.
+func (r *Replicas) observe(i int, d time.Duration, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	h := &r.health[i]
+	if err != nil {
+		h.errRate += errAlpha * (1 - h.errRate)
+		return
+	}
+	if sec := d.Seconds(); !h.latSeen {
+		h.lat, h.latSeen = sec, true
+	} else {
+		h.lat += latAlpha * (sec - h.lat)
+	}
+	h.errRate *= 1 - errAlpha
 }
 
 // CountLabel implements Counter: the first member that can count answers
@@ -174,17 +193,6 @@ func (r *Replicas) CountLabel(label string) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// OnInvalidate implements InvalidationNotifier by forwarding the
-// registration to every member that notifies: replicas are assumed to
-// converge, but any member's mutation invalidates derived state.
-func (r *Replicas) OnInvalidate(fn func()) {
-	for _, m := range r.members {
-		if n, ok := m.(InvalidationNotifier); ok {
-			n.OnInvalidate(fn)
-		}
-	}
 }
 
 // OnChange implements Notifier by forwarding the first feed-capable

@@ -126,38 +126,95 @@ func TestReplicatedFailoverKeepsAnswering(t *testing.T) {
 }
 
 // TestReplicatedRoutingAvoidsSlow: after the first exchanges teach the
-// store each member's latency, the router must send the bulk of the
-// remaining traffic to the fast members.
+// composite each member's latency, it must send the bulk of the remaining
+// traffic to the fast members — whatever the slow member's registration
+// position, and with the answer cache in front of the composite.
 func TestReplicatedRoutingAvoidsSlow(t *testing.T) {
-	slow := &laggedSource{inner: replicaExtent(t, "r1", 12), delay: 25 * time.Millisecond}
-	rep, err := NewReplicatedSource("rep",
-		replicaExtent(t, "r0", 12), slow, replicaExtent(t, "r2", 12))
+	const queries = 30
+	for _, input := range []struct {
+		name      string
+		slowFirst bool
+		cache     *CacheOptions
+	}{
+		{"slow-second", false, nil},
+		{"slow-first-cache", true, &CacheOptions{}},
+	} {
+		t.Run(input.name, func(t *testing.T) {
+			slow := &laggedSource{inner: replicaExtent(t, "r1", queries), delay: 25 * time.Millisecond}
+			members := []Source{replicaExtent(t, "r0", queries), slow, replicaExtent(t, "r2", queries)}
+			if input.slowFirst {
+				members[0], members[1] = members[1], members[0]
+			}
+			rep, err := NewReplicatedSource("rep", members...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			med, err := New(Config{
+				Name:    "med",
+				Spec:    `<profile {<name N> <dept D>}> :- <person {<name N> <dept D>}>@rep.`,
+				Sources: []Source{rep},
+				Cache:   input.cache,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := metrics.Default().Snapshot()
+			for i := 0; i < queries; i++ {
+				q := fmt.Sprintf(`X :- X:<profile {<name 'P%03d'>}>@med.`, i)
+				if objs, err := med.QueryString(q); err != nil || len(objs) != 1 {
+					t.Fatalf("query %d: %d objects, %v", i, len(objs), err)
+				}
+			}
+			after := metrics.Default().Snapshot()
+			delta := func(name string) int64 { return after.Counter(name) - before.Counter(name) }
+			total := delta("replica.exchanges")
+			toSlow := delta("replica.routed.r1")
+			if total < queries {
+				t.Fatalf("only %d exchanges recorded for %d queries", total, queries)
+			}
+			// Exploration legitimately sends the first exchange or two to the
+			// slow member; after that its observed latency keeps it ranked last.
+			if float64(toSlow) > 0.2*float64(total) {
+				t.Fatalf("slow member served %d of %d exchanges", toSlow, total)
+			}
+			if delta("replica.routed.r0")+delta("replica.routed.r2") < total-toSlow {
+				t.Fatalf("exchanges unaccounted for: r0=%d r1=%d r2=%d total=%d",
+					delta("replica.routed.r0"), toSlow, delta("replica.routed.r2"), total)
+			}
+		})
+	}
+}
+
+// TestHangingReplicaFailsOverWithFreshBudget: a first replica that never
+// answers times out on its own per-member budget, and the failover gets
+// a fresh one — the healthy replica answers in full, under the failing
+// policy, although it finishes after the exchange's own timeout.
+func TestHangingReplicaFailsOverWithFreshBudget(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	hanging := &slowSource{inner: replicaExtent(t, "r0", 12), delay: time.Hour}
+	healthy := &slowSource{inner: replicaExtent(t, "r1", 12), delay: timeout / 4}
+	rep, err := NewReplicatedSource("rep", hanging, healthy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	med := replicaMediator(t, rep)
-	before := metrics.Default().Snapshot()
-	const queries = 30
-	for i := 0; i < queries; i++ {
-		q := fmt.Sprintf(`X :- X:<profile {<name 'P%03d'>}>@med.`, i%12)
-		if objs, err := med.QueryString(q); err != nil || len(objs) != 1 {
-			t.Fatalf("query %d: %d objects, %v", i, len(objs), err)
-		}
+	med, err := New(Config{
+		Name:    "med",
+		Spec:    `<profile {<name N> <dept D>}> :- <person {<name N> <dept D>}>@rep.`,
+		Sources: []Source{rep},
+		Policy:  ExecPolicy{PerSourceTimeout: timeout},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	after := metrics.Default().Snapshot()
-	delta := func(name string) int64 { return after.Counter(name) - before.Counter(name) }
-	total := delta("replica.exchanges")
-	toSlow := delta("replica.routed.r1")
-	if total < queries {
-		t.Fatalf("only %d exchanges recorded for %d queries", total, queries)
+	start := time.Now()
+	objs, err := med.QueryString(`X :- X:<profile {<name N>}>@med.`)
+	if err != nil {
+		t.Fatalf("failover did not get a fresh budget: %v", err)
 	}
-	// Exploration legitimately sends the first exchange or two to the
-	// slow member; after that its observed latency keeps it ranked last.
-	if float64(toSlow) > 0.2*float64(total) {
-		t.Fatalf("slow member served %d of %d exchanges", toSlow, total)
+	if len(objs) != 12 {
+		t.Fatalf("failover answered %d objects, want 12", len(objs))
 	}
-	if delta("replica.routed.r0")+delta("replica.routed.r2") < total-toSlow {
-		t.Fatalf("exchanges unaccounted for: r0=%d r1=%d r2=%d total=%d",
-			delta("replica.routed.r0"), toSlow, delta("replica.routed.r2"), total)
+	if elapsed := time.Since(start); elapsed > 10*timeout {
+		t.Fatalf("failover took %v", elapsed)
 	}
 }

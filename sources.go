@@ -45,14 +45,14 @@ type (
 	// PartitionedSource presents N member sources holding a
 	// hash-partitioned extent as one logical source: point queries on the
 	// partition key route to their shard, everything else scatters and
-	// gathers. Registered in a mediator, the engine performs the scatter
-	// on its own worker pool under the query's ExecPolicy.
+	// gathers. A failed member leaves the surviving members' union, which
+	// the query's ExecPolicy keeps or rejects with the failure attributed
+	// to the member.
 	PartitionedSource = wrapper.Partitioned
 	// ReplicatedSource presents N answer-equivalent member sources as one
-	// logical source. Registered in a mediator, the engine routes each
-	// exchange to the member with the best observed latency/error score
-	// and fails over to the next-best member on error, so one healthy
-	// replica keeps the source answering.
+	// logical source. Each exchange goes to the member with the best
+	// observed latency/error score and fails over to the next-best member
+	// on error, so one healthy replica keeps the source answering.
 	ReplicatedSource = wrapper.Replicas
 	// SourceDelta describes one source mutation: the top-level objects it
 	// inserted and deleted. Sources emit deltas to ChangeNotifier
@@ -159,10 +159,9 @@ func NewPartitionedSource(name, keyLabel string, members ...Source) (*Partitione
 func ShardOf(key string, shards int) int { return wrapper.ShardIndex(key, shards) }
 
 // NewReplicatedSource builds the logical source name over
-// answer-equivalent replicas. Member order is the failover order used
-// before any routing statistics exist; once the mediator has observed
-// exchange latencies and errors, each exchange routes to the best-scored
-// member.
+// answer-equivalent replicas. Member order is the failover order before
+// any call has been observed; after that, each exchange routes to the
+// best-scored member.
 func NewReplicatedSource(name string, members ...Source) (*ReplicatedSource, error) {
 	return wrapper.NewReplicated(name, members...)
 }
