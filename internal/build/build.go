@@ -1,6 +1,6 @@
 // Package build constructs rule-head objects: the constructor half of MSL
 // semantics (Section 2.3 of the paper). Given the head of a datamerge rule
-// and one environment of variable bindings produced by matching the tail,
+// and one row of variable bindings produced by matching the tail,
 // Head materializes the result objects the rule promises.
 //
 // Construction follows docs/MSL.md: constants become fixed labels and
@@ -25,11 +25,12 @@ import (
 	"medmaker/internal/oem"
 )
 
-// Head materializes the objects a rule head describes under one binding
-// environment. A bare variable head term passes the bound object through
-// untouched (it already exists); an object-pattern head term constructs a
-// fresh object tree and assigns oids from gen.
-func Head(head []msl.HeadTerm, env match.Env, gen *oem.IDGen) ([]*oem.Object, error) {
+// Head materializes the objects a rule head describes under one row of
+// bindings — an Env, or a binding-table row read in place. A bare
+// variable head term passes the bound object through untouched (it
+// already exists); an object-pattern head term constructs a fresh object
+// tree and assigns oids from gen.
+func Head(head []msl.HeadTerm, env match.Bindings, gen *oem.IDGen) ([]*oem.Object, error) {
 	out := make([]*oem.Object, 0, len(head))
 	for _, h := range head {
 		switch t := h.(type) {
@@ -58,7 +59,7 @@ func Head(head []msl.HeadTerm, env match.Env, gen *oem.IDGen) ([]*oem.Object, er
 
 // construct builds the object tree for one head pattern, leaving oids nil
 // except where the head fixes them (constants, Skolem terms).
-func construct(p *msl.ObjectPattern, env match.Env, gen *oem.IDGen) (*oem.Object, error) {
+func construct(p *msl.ObjectPattern, env match.Bindings, gen *oem.IDGen) (*oem.Object, error) {
 	if p.Wildcard {
 		return nil, fmt.Errorf("build: wildcard pattern %s cannot appear in a rule head", p)
 	}
@@ -81,7 +82,7 @@ func construct(p *msl.ObjectPattern, env match.Env, gen *oem.IDGen) (*oem.Object
 	return obj, nil
 }
 
-func headLabel(t msl.Term, env match.Env) (string, error) {
+func headLabel(t msl.Term, env match.Bindings) (string, error) {
 	switch x := t.(type) {
 	case *msl.Const:
 		s, ok := x.Value.(oem.String)
@@ -109,7 +110,7 @@ func headLabel(t msl.Term, env match.Env) (string, error) {
 	return "", fmt.Errorf("build: unsupported head label term %T", t)
 }
 
-func headOID(t msl.Term, env match.Env) (oem.OID, error) {
+func headOID(t msl.Term, env match.Bindings) (oem.OID, error) {
 	switch x := t.(type) {
 	case *msl.Const:
 		s, ok := x.Value.(oem.String)
@@ -142,7 +143,7 @@ func headOID(t msl.Term, env match.Env) (oem.OID, error) {
 // &person('Joe Chung'). Equal arguments yield equal oids no matter which
 // rule constructed the object, which is what lets the fusion step merge
 // fragments of the same entity (Section 2.4).
-func skolemOID(s *msl.Skolem, env match.Env) (oem.OID, error) {
+func skolemOID(s *msl.Skolem, env match.Bindings) (oem.OID, error) {
 	parts := make([]string, len(s.Args))
 	for i, a := range s.Args {
 		switch x := a.(type) {
@@ -167,7 +168,7 @@ func skolemOID(s *msl.Skolem, env match.Env) (oem.OID, error) {
 	return oem.OID("&" + s.Functor + "(" + strings.Join(parts, ", ") + ")"), nil
 }
 
-func headValue(obj *oem.Object, t msl.Term, env match.Env, gen *oem.IDGen) error {
+func headValue(obj *oem.Object, t msl.Term, env match.Bindings, gen *oem.IDGen) error {
 	switch x := t.(type) {
 	case nil:
 		// A bare <label> head constructs an empty set object.

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"medmaker/internal/match"
 	"medmaker/internal/msl"
 	"medmaker/internal/oem"
 	"medmaker/internal/wrapper"
@@ -74,21 +73,23 @@ func (n *MatScanNode) Label() string {
 }
 
 func (n *MatScanNode) run(rs *runState, kids []*Table) (*Table, error) {
-	inputRows := []match.Env{nil}
+	in := unitTable()
 	if len(kids) == 1 {
-		inputRows = kids[0].Envs()
+		in = kids[0]
 	}
 	// Distinct instantiations share one local evaluation, mirroring the
 	// batched query path's deduplication; evaluation stays serial
 	// (extents are typically small, the dedup carries the savings).
-	qs, of, err := n.instantiate(inputRows)
+	qs, of, err := n.instantiate(in)
 	if err != nil {
 		return nil, err
 	}
 	answers := make([][]*oem.Object, len(qs))
 	done := make([]bool, len(qs))
-	out := outTable(n.Needed)
-	for i, row := range inputRows {
+	out := n.outTable(in)
+	out.reserve(in.Len())
+	row := &rowCursor{t: in}
+	for i := range of {
 		if err := checkStride(rs, i); err != nil {
 			return nil, err
 		}
@@ -99,12 +100,9 @@ func (n *MatScanNode) run(rs *runState, kids []*Table) (*Table, error) {
 			}
 			done[p] = true
 		}
-		envs, err := n.extract(row, answers[p])
-		if err != nil {
+		row.i = i
+		if err := n.extract(out, row, answers[p]); err != nil {
 			return nil, err
-		}
-		for _, e := range envs {
-			out.AppendEnv(e)
 		}
 	}
 	return out, nil

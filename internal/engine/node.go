@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"medmaker/internal/build"
+	"medmaker/internal/extfn"
 	"medmaker/internal/match"
 	"medmaker/internal/msl"
 	"medmaker/internal/oem"
@@ -118,63 +119,60 @@ func (n *QueryNode) run(rs *runState, kids []*Table) (*Table, error) {
 		return nil, fmt.Errorf("engine: unknown source %q", n.Source)
 	}
 	if len(kids) == 0 {
-		rows, err := n.runRow(rs, src, nil, n.Send)
+		in := unitTable()
+		objs, err := n.querySource(rs, src, n.Send)
 		if err != nil {
 			return nil, err
 		}
-		return tableFromEnvs(n.Needed, rows), nil
+		out := n.outTable(in)
+		out.reserve(len(objs))
+		return out, n.extract(out, &rowCursor{t: in}, objs)
 	}
-	inputRows := kids[0].Envs()
+	in := kids[0]
 	if rs.ex.queryBatch() > 1 {
-		rows, err := n.runBatched(rs, src, inputRows)
-		if err != nil {
-			return nil, err
-		}
-		return tableFromEnvs(n.Needed, rows), nil
+		return n.runBatched(rs, src, in)
 	}
 	var tmpl *msl.Template
+	var slots []int
 	if len(n.ParamVars) > 0 {
 		var err error
 		if tmpl, err = n.template(); err != nil {
 			return nil, err
 		}
+		slots = in.colIndexes(tmpl.Slots())
 	}
 	// One exchange per input tuple: each tuple is its own morsel, so the
-	// exchanges overlap across the workers; per-row results concatenate in
-	// input order, so parallel and serial runs agree exactly.
-	perRow := make([][]match.Env, len(inputRows))
-	if err := rs.runMorselsWidth(n, len(inputRows), 1, func(i, _, _ int) error {
+	// exchanges overlap across the workers; per-row chunks concatenate in
+	// input order, so parallel and serial runs agree exactly. A skipped
+	// exchange extracts from an empty answer: a positive pattern yields no
+	// rows, a negated (anti-join) one passes the tuple through — absence
+	// assumed, not verified, which is why querySource records the failure
+	// in the run's SourceErrors.
+	out := n.outTable(in)
+	chunks := make([]*Table, in.Len())
+	if err := rs.runMorselsWidth(n, in.Len(), 1, func(i, _, _ int) error {
 		q := n.Send
 		if tmpl != nil {
-			tuple := appendTuple(make([]oem.Value, 0, len(n.ParamVars)), n.ParamVars, inputRows[i])
 			var err error
-			if q, err = tmpl.Bind(tuple); err != nil {
+			if q, err = tmpl.Bind(in.appendTuple(make([]oem.Value, 0, len(slots)), i, slots)); err != nil {
 				return err
 			}
 		}
-		rows, err := n.runRow(rs, src, inputRows[i], q)
-		perRow[i] = rows
-		return err
+		objs, err := n.querySource(rs, src, q)
+		if err != nil {
+			return err
+		}
+		chunks[i] = out.emptyLike(len(objs))
+		return n.extract(chunks[i], &rowCursor{t: in, i: i}, objs)
 	}); err != nil {
 		return nil, err
 	}
-	out := outTable(n.Needed)
-	for _, rows := range perRow {
-		for _, e := range rows {
-			out.AppendEnv(e)
-		}
-	}
-	return out, nil
+	return out.concat(chunks), nil
 }
 
-// tableFromEnvs wraps already-projected rows into an operator output
-// table.
-func tableFromEnvs(needed []string, rows []match.Env) *Table {
-	out := outTable(needed)
-	for _, e := range rows {
-		out.AppendEnv(e)
-	}
-	return out
+// outTable returns the node's empty output table over input in.
+func (n *QueryNode) outTable(in *Table) *Table {
+	return outTable(n.Needed, in, &msl.PatternConjunct{ObjVar: n.ExtractObjVar, Pattern: n.Extract})
 }
 
 // querySource performs one single-query exchange under the run's context
@@ -198,55 +196,35 @@ func (n *QueryNode) querySource(rs *runState, src wrapper.Source, q *msl.Rule) (
 	return objs, nil
 }
 
-// runRow evaluates the node for one input tuple: query the source with
-// the row's instantiation q, extract bindings under the row environment,
-// and project.
-func (n *QueryNode) runRow(rs *runState, src wrapper.Source, row match.Env, q *msl.Rule) ([]match.Env, error) {
-	// A skipped exchange extracts from an empty answer: a positive
-	// pattern yields no rows, a negated (anti-join) one passes the tuple
-	// through — absence assumed, not verified, which is why querySource
-	// records the failure in the run's SourceErrors.
-	objs, err := n.querySource(rs, src, q)
-	if err != nil {
-		return nil, err
-	}
-	return n.extract(row, objs)
-}
-
 // extract matches the source's answer against the extraction pattern
-// under the input row, applies negation semantics, and projects.
-func (n *QueryNode) extract(row match.Env, objs []*oem.Object) ([]match.Env, error) {
-	envs, err := match.Tops(n.Extract, n.ExtractObjVar, objs, row)
-	if err != nil {
-		return nil, err
-	}
-	if n.Negated {
-		if len(envs) > 0 {
-			return nil, nil // a match exists: the tuple is filtered out
+// under the input row and appends the output rows to out: one per match,
+// or for a negated (anti-join) node the row itself when nothing matched.
+func (n *QueryNode) extract(out *Table, row *rowCursor, objs []*oem.Object) error {
+	matched := false
+	if err := match.TopsEach(n.Extract, n.ExtractObjVar, objs, row, func(m match.Match) {
+		matched = true
+		if !n.Negated {
+			out.appendMatch(m)
 		}
-		if len(n.Needed) > 0 {
-			row = row.Project(n.Needed)
-		}
-		return []match.Env{row}, nil
+	}); err != nil {
+		return err
 	}
-	if len(n.Needed) > 0 {
-		for i, e := range envs {
-			envs[i] = e.Project(n.Needed)
-		}
+	if n.Negated && !matched {
+		out.appendRow(row)
 	}
-	return envs, nil
+	return nil
 }
 
-// runBatched evaluates the node over rows with input-tuple deduplication
-// and batched source exchanges (the tentpole of Section 3.4 done
-// cheaply): rows that instantiate the template identically share one
+// runBatched evaluates the node over the rows of in with input-tuple
+// deduplication and batched source exchanges (the tentpole of Section 3.4
+// done cheaply): rows that instantiate the template identically share one
 // query, the distinct queries ship in groups of up to Executor.QueryBatch
 // per exchange when the source implements wrapper.BatchQuerier (or its
 // context-aware form), and the answers are distributed back to the
 // originating rows in input order, so the output is identical to the
 // per-tuple path against deterministic sources.
-func (n *QueryNode) runBatched(rs *runState, src wrapper.Source, rows []match.Env) ([]match.Env, error) {
-	qs, of, err := n.instantiate(rows)
+func (n *QueryNode) runBatched(rs *runState, src wrapper.Source, in *Table) (*Table, error) {
+	qs, of, err := n.instantiate(in)
 	if err != nil {
 		return nil, err
 	}
@@ -257,26 +235,23 @@ func (n *QueryNode) runBatched(rs *runState, src wrapper.Source, rows []match.En
 	// Extraction over the fetched answers is pure CPU — pattern matching
 	// under each input row — so it fans out morsel-parallel; chunks
 	// concatenate in morsel order, preserving the serial output exactly.
-	chunks := make([][]match.Env, rs.ex.morselCount(len(rows)))
-	if err := rs.runMorsels(n, len(rows), func(m, lo, hi int) error {
-		var part []match.Env
+	out := n.outTable(in)
+	chunks := make([]*Table, rs.ex.morselCount(in.Len()))
+	if err := rs.runMorsels(n, in.Len(), func(m, lo, hi int) error {
+		chunk := out.emptyLike(hi - lo)
+		row := &rowCursor{t: in}
 		for i := lo; i < hi; i++ {
-			envs, err := n.extract(rows[i], answers[of[i]])
-			if err != nil {
+			row.i = i
+			if err := n.extract(chunk, row, answers[of[i]]); err != nil {
 				return err
 			}
-			part = append(part, envs...)
 		}
-		chunks[m] = part
+		chunks[m] = chunk
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	var out []match.Env
-	for _, part := range chunks {
-		out = append(out, part...)
-	}
-	return out, nil
+	return out.concat(chunks), nil
 }
 
 // fetchBatches ships the distinct queries to the source, up to
@@ -368,18 +343,21 @@ func (n *ExtPredNode) OutVars() []string { return n.Needed }
 func (n *ExtPredNode) run(rs *runState, kids []*Table) (*Table, error) {
 	// Predicate evaluation is per-tuple pure CPU, so rows fan out
 	// morsel-parallel; per-morsel chunks concatenate in order, matching
-	// the serial loop exactly.
+	// the serial loop exactly. Each output row is the input row, read in
+	// place, plus the free-variable bindings the predicate adds.
 	in := kids[0]
+	out := outTable(n.Needed, in, n.Pred)
+	inCols := in.colIndexes(out.vars)
 	chunks := make([]*Table, rs.ex.morselCount(in.Len()))
 	if err := rs.runMorsels(n, in.Len(), func(m, lo, hi int) error {
-		chunk := outTable(n.Needed)
+		chunk := out.emptyLike(hi - lo)
+		row := &rowCursor{t: in}
 		for i := lo; i < hi; i++ {
-			envs, err := rs.ex.Extfn.Eval(n.Pred, in.Row(i))
-			if err != nil {
+			row.i = i
+			if err := rs.ex.Extfn.EvalRow(n.Pred, row, func(ext []extfn.VarBinding) {
+				chunk.appendExtended(in, i, inCols, ext)
+			}); err != nil {
 				return err
-			}
-			for _, e := range envs {
-				chunk.AppendEnv(e)
 			}
 		}
 		chunks[m] = chunk
@@ -387,11 +365,23 @@ func (n *ExtPredNode) run(rs *runState, kids []*Table) (*Table, error) {
 	}); err != nil {
 		return nil, err
 	}
-	out := outTable(n.Needed)
-	for _, chunk := range chunks {
-		out.appendTable(chunk)
+	return out.concat(chunks), nil
+}
+
+// appendExtended appends row i of in, extended by ext and projected onto
+// t's schema; inCols[c] is in's column for t's column c (-1: absent).
+func (t *Table) appendExtended(in *Table, i int, inCols []int, ext []extfn.VarBinding) {
+	for c, v := range t.vars {
+		b := in.binding(i, inCols[c])
+		for _, x := range ext {
+			if x.Name == v {
+				b = x.Binding
+				break
+			}
+		}
+		t.cols[c] = append(t.cols[c], b)
 	}
-	return out, nil
+	t.n++
 }
 
 // JoinNode combines two independently-computed binding tables on their
@@ -498,21 +488,15 @@ func joinEmit(chunk, left, right *Table, li, ri int, outs, overlap []joinCol) {
 func (n *JoinNode) run(rs *runState, kids []*Table) (*Table, error) {
 	left, right := kids[0], kids[1]
 	outVars, outs, overlap := n.joinCols(left, right)
-	finish := func(chunks []*Table) *Table {
-		out := newProjTable(outVars)
-		out.Cols = n.Needed
-		for _, c := range chunks {
-			out.appendTable(c)
-		}
-		return out
-	}
+	out := newProjTable(outVars)
+	out.Cols = n.Needed
 	if len(n.Shared) == 0 {
 		// A cross product multiplies row counts: morsel over the outer
 		// side, and with a big inner side poll cancellation per outer row
 		// — the product of two modest inputs can already be huge.
 		chunks := make([]*Table, rs.ex.morselCount(left.Len()))
 		if err := rs.runMorsels(n, left.Len(), func(m, lo, hi int) error {
-			chunk := newProjTable(outVars)
+			chunk := out.emptyLike(0)
 			for i := lo; i < hi; i++ {
 				if right.Len() >= cancelCheckStride {
 					if err := rs.cancelled(); err != nil {
@@ -528,7 +512,7 @@ func (n *JoinNode) run(rs *runState, kids []*Table) (*Table, error) {
 		}); err != nil {
 			return nil, err
 		}
-		return finish(chunks), nil
+		return out.concat(chunks), nil
 	}
 	// Partitioned hash join. Build side = the smaller input. Three
 	// morsel-parallel phases: hash the build rows, partition the buckets
@@ -576,7 +560,7 @@ func (n *JoinNode) run(rs *runState, kids []*Table) (*Table, error) {
 	}
 	chunks := make([]*Table, rs.ex.morselCount(probe.Len()))
 	if err := rs.runMorsels(n, probe.Len(), func(m, lo, hi int) error {
-		chunk := newProjTable(outVars)
+		chunk := out.emptyLike(0)
 		for i := lo; i < hi; i++ {
 			h := probe.hashRow(i, sharedP)
 			for _, bi := range parts[h%uint64(nparts)][h] {
@@ -592,7 +576,7 @@ func (n *JoinNode) run(rs *runState, kids []*Table) (*Table, error) {
 	}); err != nil {
 		return nil, err
 	}
-	return finish(chunks), nil
+	return out.concat(chunks), nil
 }
 
 // DedupNode projects rows onto Vars and eliminates duplicate bindings —
@@ -618,12 +602,11 @@ func (n *DedupNode) OutVars() []string { return n.Vars }
 func (n *DedupNode) run(rs *runState, kids []*Table) (*Table, error) {
 	// Row hashes are computed morsel-parallel; the scan that keeps first
 	// occurrences is inherently sequential but does only bucket lookups
-	// and (rarely) per-variable equality checks against kept rows.
+	// and (rarely) per-variable equality checks against kept rows. first
+	// maps a hash to the latest kept row with it, and next chains each
+	// kept row to the previous one with the same hash.
 	in := kids[0]
-	cols := make([]int, len(n.Vars))
-	for i, v := range n.Vars {
-		cols[i] = in.ColIndex(v)
-	}
+	cols := in.colIndexes(n.Vars)
 	hashes := make([]uint64, in.Len())
 	if err := rs.runMorsels(n, in.Len(), func(_, lo, hi int) error {
 		for i := lo; i < hi; i++ {
@@ -634,36 +617,47 @@ func (n *DedupNode) run(rs *runState, kids []*Table) (*Table, error) {
 		return nil, err
 	}
 	out := newProjTable(n.Vars)
-	byKey := make(map[uint64][]int32, in.Len())
+	out.reserve(in.Len())
+	first := make(map[uint64]int32, in.Len())
+	next := make([]int32, 0, in.Len())
 	for i := 0; i < in.Len(); i++ {
 		if err := checkStride(rs, i); err != nil {
 			return nil, err
 		}
 		h := hashes[i]
-		dup := false
-		for _, j := range byKey[h] {
-			eq := true
-			for c, ic := range cols {
-				if !in.binding(i, ic).Equal(out.cols[c][j]) {
-					eq = false
-					break
-				}
-			}
-			if eq {
-				dup = true
-				break
-			}
+		head, seen := first[h]
+		if !seen {
+			head = -1
 		}
-		if dup {
+		if keptEqual(in, i, cols, out, head, next) {
 			continue
 		}
-		byKey[h] = append(byKey[h], int32(out.n))
+		first[h] = int32(out.n)
+		next = append(next, head)
 		for c, ic := range cols {
 			out.cols[c] = append(out.cols[c], in.binding(i, ic))
 		}
 		out.n++
 	}
 	return out, nil
+}
+
+// keptEqual reports whether a kept row of out on the chain starting at j
+// equals row i of in on every column (cols are in's, in out's order).
+func keptEqual(in *Table, i int, cols []int, out *Table, j int32, next []int32) bool {
+	for ; j >= 0; j = next[j] {
+		eq := true
+		for c, ic := range cols {
+			if !in.binding(i, ic).Equal(out.cols[c][j]) {
+				eq = false
+				break
+			}
+		}
+		if eq {
+			return true
+		}
+	}
+	return false
 }
 
 // ConstructNode creates one set of result objects per input tuple, using
@@ -697,17 +691,21 @@ func (n *ConstructNode) run(rs *runState, kids []*Table) (*Table, error) {
 	// and serial assignment keeps them deterministic for a given plan.
 	in := kids[0]
 	out := newProjTable([]string{ResultVar})
+	out.reserve(in.Len() * len(n.Head))
+	row := &rowCursor{t: in}
 	for i := 0; i < in.Len(); i++ {
 		if err := checkStride(rs, i); err != nil {
 			return nil, err
 		}
-		objs, err := build.Head(n.Head, in.Row(i), rs.ex.IDGen)
+		row.i = i
+		objs, err := build.Head(n.Head, row, rs.ex.IDGen)
 		if err != nil {
 			return nil, err
 		}
 		for _, obj := range objs {
-			out.AppendBinding(ResultVar, match.BindObj(obj))
+			out.cols[0] = append(out.cols[0], match.BindObj(obj))
 		}
+		out.n += len(objs)
 	}
 	return out, nil
 }

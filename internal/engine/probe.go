@@ -17,6 +17,8 @@ import (
 // queries and share one probe; any other pair of rows gets two.
 type probes struct {
 	tmpl  *msl.Template
+	in    *Table
+	slots []int       // in's column of each template slot (-1: absent)
 	rules []*msl.Rule // one bound query per distinct tuple
 	// first maps a tuple hash to its first probe, and next chains the
 	// probes whose tuples share a hash; slab holds the distinct tuples
@@ -30,22 +32,24 @@ type probes struct {
 // absentHash stands for a free slot in a tuple hash.
 const absentHash = 0x5bd1e9955bd1e995
 
-// newProbes prepares deduplication over up to rows input rows.
-func newProbes(tmpl *msl.Template, rows int) *probes {
+// newProbes prepares deduplication over the rows of in.
+func newProbes(tmpl *msl.Template, in *Table) *probes {
 	arity := len(tmpl.Slots())
 	return &probes{
 		tmpl:  tmpl,
-		first: make(map[uint64]int32, rows),
-		slab:  make([]oem.Value, 0, rows*arity),
+		in:    in,
+		slots: in.colIndexes(tmpl.Slots()),
+		first: make(map[uint64]int32, in.Len()),
+		slab:  make([]oem.Value, 0, in.Len()*arity),
 		arity: arity,
 	}
 }
 
-// add returns the probe index for row's tuple, binding a new query when
+// add returns the probe index for row i's tuple, binding a new query when
 // the tuple was not seen before.
-func (p *probes) add(row match.Env) (int, error) {
+func (p *probes) add(i int) (int, error) {
 	start := len(p.slab)
-	p.slab = appendTuple(p.slab, p.tmpl.Slots(), row)
+	p.slab = p.in.appendTuple(p.slab, i, p.slots)
 	tuple := p.slab[start:len(p.slab):len(p.slab)]
 	h := match.HashSeed
 	for _, v := range tuple {
@@ -57,10 +61,10 @@ func (p *probes) add(row match.Env) (int, error) {
 	}
 	head, seen := p.first[h]
 	if seen {
-		for i := head; i >= 0; i = p.next[i] {
-			if sameTuple(p.tuple(int(i)), tuple) {
+		for j := head; j >= 0; j = p.next[j] {
+			if sameTuple(p.tuple(int(j)), tuple) {
 				p.slab = p.slab[:start]
-				return int(i), nil
+				return int(j), nil
 			}
 		}
 	} else {
@@ -70,26 +74,24 @@ func (p *probes) add(row match.Env) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	i := int32(len(p.rules))
+	j := int32(len(p.rules))
 	p.rules = append(p.rules, q)
 	p.next = append(p.next, head)
-	p.first[h] = i
-	return int(i), nil
+	p.first[h] = j
+	return int(j), nil
 }
 
 func (p *probes) tuple(i int) []oem.Value { return p.slab[i*p.arity : (i+1)*p.arity] }
 
-// appendTuple appends row's binding tuple for the slot variables: each
-// slot's atomic binding, or nil — set-bound and object-bound variables
-// stay free in the instantiated query.
-func appendTuple(dst []oem.Value, slots []string, row match.Env) []oem.Value {
-	for _, name := range slots {
+// appendTuple appends row i's binding tuple over the given columns: each
+// column's atomic binding, or nil — unbound, set-bound and object-bound
+// variables stay free in the instantiated query.
+func (t *Table) appendTuple(dst []oem.Value, i int, cols []int) []oem.Value {
+	for _, c := range cols {
 		var v oem.Value
-		if b, bound := row.Lookup(name); bound {
-			if val, atomic := b.AsValue(); atomic {
-				if _, isSet := val.(oem.Set); !isSet {
-					v = val
-				}
+		if val, atomic := t.binding(i, c).AsValue(); atomic {
+			if _, isSet := val.(oem.Set); !isSet {
+				v = val
 			}
 		}
 		dst = append(dst, v)
@@ -134,10 +136,10 @@ func (n *QueryNode) template() (*msl.Template, error) {
 	return msl.Compile(n.Send, n.ParamVars)
 }
 
-// instantiate maps every input row to its probe: of[i] indexes the
+// instantiate maps every row of in to its probe: of[i] indexes the
 // returned queries. A node without slots sends Send itself, once.
-func (n *QueryNode) instantiate(rows []match.Env) (qs []*msl.Rule, of []int, err error) {
-	of = make([]int, len(rows))
+func (n *QueryNode) instantiate(in *Table) (qs []*msl.Rule, of []int, err error) {
+	of = make([]int, in.Len())
 	if len(n.ParamVars) == 0 {
 		return []*msl.Rule{n.Send}, of, nil
 	}
@@ -145,9 +147,9 @@ func (n *QueryNode) instantiate(rows []match.Env) (qs []*msl.Rule, of []int, err
 	if err != nil {
 		return nil, nil, err
 	}
-	p := newProbes(tmpl, len(rows))
-	for i, row := range rows {
-		if of[i], err = p.add(row); err != nil {
+	p := newProbes(tmpl, in)
+	for i := range of {
+		if of[i], err = p.add(i); err != nil {
 			return nil, nil, err
 		}
 	}

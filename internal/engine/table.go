@@ -14,10 +14,12 @@ package engine
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
 	"medmaker/internal/match"
+	"medmaker/internal/msl"
 	"medmaker/internal/trace"
 )
 
@@ -26,11 +28,10 @@ import (
 // with a shared var→column index. A row binds a variable when its slot
 // in that variable's column is non-zero; the zero Binding means "absent",
 // exactly as a missing key does in a match.Env. Operators read and write
-// column slots directly — no per-row map allocation, no per-operator
-// projection copies (a fixed-schema table projects on append) — and
-// match.Env survives as a row view (Row) materialized only at the API
-// boundaries that need a real environment: the matcher, external
-// functions, and the constructor.
+// column slots in place: the matcher, external functions and the
+// constructor read an input row through a rowCursor, and operators write
+// only the variables their output schema keeps — no per-row map, no
+// per-operator projection copies.
 type Table struct {
 	// Cols is the display order of variables; rows may bind more
 	// variables than listed (Cols is presentational).
@@ -44,16 +45,6 @@ type Table struct {
 	// schema's variables (the operator's Needed projection, applied
 	// in-place). A dynamic table instead grows columns for new variables.
 	fixed bool
-}
-
-// NewTable builds a table over the given display columns, with one column
-// per listed variable plus any further variables the rows bind.
-func NewTable(cols []string, rows []match.Env) *Table {
-	t := newDynTable(cols)
-	for _, r := range rows {
-		t.AppendEnv(r)
-	}
-	return t
 }
 
 // newProjTable builds an empty fixed-schema table: appends project onto
@@ -72,6 +63,77 @@ func newProjTable(vars []string) *Table {
 	return t
 }
 
+// unitTable is the one-row, no-column table a leaf operator reads as its
+// input: the single empty environment.
+func unitTable() *Table { return &Table{n: 1} }
+
+// outTable builds the empty output table of an operator that extends its
+// input rows with the variables conj binds: fixed on the projection when
+// needed is explicit, else ("keep all") on in's schema plus conj's
+// variables, with no display columns.
+func outTable(needed []string, in *Table, conj msl.Conjunct) *Table {
+	if len(needed) > 0 {
+		return newProjTable(needed)
+	}
+	vars := append([]string(nil), in.vars...)
+	for _, v := range (&msl.Rule{Tail: []msl.Conjunct{conj}}).Vars() {
+		if _, ok := in.idx[v]; !ok {
+			vars = append(vars, v)
+		}
+	}
+	t := newProjTable(vars)
+	t.Cols = nil
+	return t
+}
+
+// emptyLike returns an empty table with t's fixed schema, sharing its
+// variable index, with slabs reserved for rows rows — the per-morsel
+// chunk an operator fills before concat.
+func (t *Table) emptyLike(rows int) *Table {
+	out := &Table{Cols: t.Cols, vars: t.vars, idx: t.idx, cols: make([][]match.Binding, len(t.vars)), fixed: true}
+	out.reserve(rows)
+	return out
+}
+
+// reserve grows every column slab's capacity to hold rows more rows.
+func (t *Table) reserve(rows int) {
+	for c := range t.cols {
+		t.cols[c] = slices.Grow(t.cols[c], rows)
+	}
+}
+
+// concat joins chunks made by t.emptyLike, in order, into one table whose
+// slabs are allocated once at the total length. A lone non-empty chunk is
+// returned as is.
+func (t *Table) concat(chunks []*Table) *Table {
+	total, filled := 0, 0
+	var last *Table
+	for _, ch := range chunks {
+		if ch != nil && ch.n > 0 {
+			total += ch.n
+			filled++
+			last = ch
+		}
+	}
+	switch filled {
+	case 0:
+		return t
+	case 1:
+		return last
+	}
+	out := t.emptyLike(total)
+	for _, ch := range chunks {
+		if ch == nil {
+			continue
+		}
+		for c := range out.cols {
+			out.cols[c] = append(out.cols[c], ch.cols[c]...)
+		}
+		out.n += ch.n
+	}
+	return out
+}
+
 // newDynTable builds an empty dynamic table seeded with the given columns;
 // appending rows that bind further variables grows the schema.
 func newDynTable(cols []string) *Table {
@@ -83,16 +145,6 @@ func newDynTable(cols []string) *Table {
 		t.ensureCol(v)
 	}
 	return t
-}
-
-// outTable builds the output table for an operator with the given
-// projection: fixed when the projection is explicit, dynamic ("keep all")
-// when it is empty.
-func outTable(needed []string) *Table {
-	if len(needed) > 0 {
-		return newProjTable(needed)
-	}
-	return newDynTable(nil)
 }
 
 // ensureCol returns the column position of v, adding a zero-backfilled
@@ -111,34 +163,21 @@ func (t *Table) ensureCol(v string) int {
 // Len returns the number of rows.
 func (t *Table) Len() int { return t.n }
 
-// Row materializes row i as an environment holding its bound variables —
-// the boundary view handed to the matcher, external functions, and the
-// constructor.
-func (t *Table) Row(i int) match.Env {
-	e := make(match.Env, len(t.vars))
-	for c, v := range t.vars {
-		if b := t.cols[c][i]; !b.IsZero() {
-			e[v] = b
-		}
-	}
-	return e
-}
-
-// Envs materializes every row (see Row), in order.
-func (t *Table) Envs() []match.Env {
-	out := make([]match.Env, t.n)
-	for i := range out {
-		out[i] = t.Row(i)
-	}
-	return out
-}
-
 // ColIndex returns v's column position, or -1 when the schema lacks it.
 func (t *Table) ColIndex(v string) int {
 	if c, ok := t.idx[v]; ok {
 		return c
 	}
 	return -1
+}
+
+// colIndexes returns each variable's column position (-1: absent).
+func (t *Table) colIndexes(vars []string) []int {
+	out := make([]int, len(vars))
+	for i, v := range vars {
+		out[i] = t.ColIndex(v)
+	}
+	return out
 }
 
 // Column returns v's column slab (length Len), or nil when the schema
@@ -150,33 +189,52 @@ func (t *Table) Column(v string) []match.Binding {
 	return nil
 }
 
-// AppendEnv appends one row from an environment. A fixed-schema table
-// keeps only its schema's variables (the projection); a dynamic table
-// grows columns for variables it has not seen, in sorted order for
-// determinism.
-func (t *Table) AppendEnv(e match.Env) {
-	if !t.fixed && len(e) > 0 {
-		known := 0
-		for _, v := range t.vars {
-			if _, ok := e[v]; ok {
-				known++
-			}
-		}
-		if known < len(e) {
-			missing := make([]string, 0, len(e)-known)
-			for k := range e {
-				if _, ok := t.idx[k]; !ok {
-					missing = append(missing, k)
-				}
-			}
-			sort.Strings(missing)
-			for _, k := range missing {
-				t.ensureCol(k)
-			}
+// rowCursor reads row i of a table in place: the input row an operator
+// hands the matcher, an external function or the constructor. It
+// implements match.Bindings and extfn.Row; an operator moves one cursor
+// down its rows instead of building an environment per row.
+type rowCursor struct {
+	t *Table
+	i int
+}
+
+// Lookup implements match.Bindings: a zero slot reads as unbound.
+func (r *rowCursor) Lookup(name string) (match.Binding, bool) {
+	c, ok := r.t.idx[name]
+	if !ok {
+		return match.Binding{}, false
+	}
+	b := r.t.cols[c][r.i]
+	return b, !b.IsZero()
+}
+
+// Names implements extfn.Row: the row's bound variables, sorted.
+func (r *rowCursor) Names() []string {
+	var out []string
+	for c, v := range r.t.vars {
+		if !r.t.cols[c][r.i].IsZero() {
+			out = append(out, v)
 		}
 	}
+	sort.Strings(out)
+	return out
+}
+
+// appendMatch appends one row read from a match: each schema variable's
+// binding from the match, or from the row it ran under.
+func (t *Table) appendMatch(m match.Match) {
 	for c, v := range t.vars {
-		t.cols[c] = append(t.cols[c], e[v])
+		b, _ := m.Lookup(v)
+		t.cols[c] = append(t.cols[c], b)
+	}
+	t.n++
+}
+
+// appendRow appends the row under r, projected onto t's schema.
+func (t *Table) appendRow(r *rowCursor) {
+	for c, v := range t.vars {
+		b, _ := r.Lookup(v)
+		t.cols[c] = append(t.cols[c], b)
 	}
 	t.n++
 }

@@ -155,6 +155,7 @@ func (t *Table) Knows(name string) bool {
 // uses this to place predicate conjuncts as early as possible in the
 // execution order.
 func (t *Table) CanEval(p *msl.PredicateConjunct, bound map[string]bool) bool {
+	isBound := func(name string) bool { return bound[name] }
 	if IsBuiltin(p.Name) {
 		for _, a := range p.Args {
 			if v, ok := a.(*msl.Var); ok && !bound[v.Name] {
@@ -167,14 +168,14 @@ func (t *Table) CanEval(p *msl.PredicateConjunct, bound map[string]bool) bool {
 		if len(im.adornment) != len(p.Args) {
 			continue
 		}
-		if adornmentFits(im.adornment, p.Args, bound) {
+		if adornmentFits(im.adornment, p.Args, isBound) {
 			return true
 		}
 	}
 	return false
 }
 
-func adornmentFits(ad []msl.ArgMode, args []msl.Term, bound map[string]bool) bool {
+func adornmentFits(ad []msl.ArgMode, args []msl.Term, isBound func(string) bool) bool {
 	for i, mode := range ad {
 		if mode != msl.ArgBound {
 			continue
@@ -182,7 +183,7 @@ func adornmentFits(ad []msl.ArgMode, args []msl.Term, bound map[string]bool) boo
 		switch a := args[i].(type) {
 		case *msl.Const:
 		case *msl.Var:
-			if !bound[a.Name] {
+			if !isBound(a.Name) {
 				return false
 			}
 		default:
@@ -192,64 +193,96 @@ func adornmentFits(ad []msl.ArgMode, args []msl.Term, bound map[string]bool) boo
 	return true
 }
 
+// Row is what EvalRow reads of its input row: the bindings, and for error
+// messages the names of the bound variables, sorted. match.Env is one.
+type Row interface {
+	match.Bindings
+	Names() []string
+}
+
+// VarBinding is one variable binding an evaluation adds to its row.
+type VarBinding struct {
+	Name    string
+	Binding match.Binding
+}
+
 // Eval evaluates the predicate conjunct under env, returning the extended
-// environments. For a check (all positions effectively bound) the result
-// is env itself or nothing; free positions produce one extension per
-// output tuple. Implementations are tried in declaration order and the
-// first applicable one is used.
+// environments: EvalRow's extensions applied to env. For a check (all
+// positions effectively bound) the result is env itself or nothing.
 func (t *Table) Eval(p *msl.PredicateConjunct, env match.Env) ([]match.Env, error) {
+	var out []match.Env
+	err := t.EvalRow(p, env, func(ext []VarBinding) {
+		e := env
+		for _, b := range ext {
+			e, _ = e.Extend(b.Name, b.Binding)
+		}
+		out = append(out, e)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// EvalRow evaluates the predicate conjunct under row and calls emit once
+// per way the predicate holds, with the bindings it adds to the row: one
+// per free-position variable the row leaves unbound. A free position
+// whose variable the row (or an earlier position) already binds only has
+// to agree (Equal) with that binding, which stands, and a constant in a
+// free position must equal the output. A check emits an empty extension
+// or nothing. emit must not retain ext past its return. Implementations
+// are tried in declaration order and the first applicable one is used.
+func (t *Table) EvalRow(p *msl.PredicateConjunct, row Row, emit func(ext []VarBinding)) error {
 	if cmp, ok := builtinComparisons[p.Name]; ok {
-		return evalComparison(p, cmp, env)
+		return evalComparison(p, cmp, row, emit)
 	}
 	if builtinStructural[p.Name] {
-		return evalStructural(p, env)
+		return evalStructural(p, row, emit)
 	}
 	impls := t.byPred[p.Name]
 	if len(impls) == 0 {
-		return nil, fmt.Errorf("extfn: undeclared predicate %q", p.Name)
+		return fmt.Errorf("extfn: undeclared predicate %q", p.Name)
 	}
-	bound := boundSet(env)
+	isBound := func(name string) bool {
+		_, ok := row.Lookup(name)
+		return ok
+	}
 	for _, im := range impls {
 		if len(im.adornment) != len(p.Args) {
-			return nil, fmt.Errorf("extfn: predicate %q called with %d arguments, declared with %d",
+			return fmt.Errorf("extfn: predicate %q called with %d arguments, declared with %d",
 				p.Name, len(p.Args), len(im.adornment))
 		}
-		if !adornmentFits(im.adornment, p.Args, bound) {
+		if !adornmentFits(im.adornment, p.Args, isBound) {
 			continue
 		}
-		return t.call(p, im, env)
+		return t.call(p, im, row, emit)
 	}
-	return nil, fmt.Errorf("extfn: no implementation of %q is applicable with bindings for %v",
-		p.Name, match.Env(env).Names())
+	return fmt.Errorf("extfn: no implementation of %q is applicable with bindings for %v",
+		p.Name, row.Names())
 }
 
-func boundSet(env match.Env) map[string]bool {
-	out := make(map[string]bool, len(env))
-	for name := range env {
-		out[name] = true
-	}
-	return out
-}
-
-func (t *Table) call(p *msl.PredicateConjunct, im impl, env match.Env) ([]match.Env, error) {
+func (t *Table) call(p *msl.PredicateConjunct, im impl, row Row, emit func([]VarBinding)) error {
 	var inputs []oem.Value
 	for i, mode := range im.adornment {
 		if mode != msl.ArgBound {
 			continue
 		}
-		v, err := argValue(p.Args[i], env)
+		v, err := argValue(p.Args[i], row)
 		if err != nil {
-			return nil, fmt.Errorf("extfn: %s argument %d: %w", p.Name, i+1, err)
+			return fmt.Errorf("extfn: %s argument %d: %w", p.Name, i+1, err)
 		}
 		inputs = append(inputs, v)
 	}
 	tuples, err := im.fn(inputs)
 	if err != nil {
-		return nil, fmt.Errorf("extfn: %s (via %s): %w", p.Name, im.funcName, err)
+		return fmt.Errorf("extfn: %s (via %s): %w", p.Name, im.funcName, err)
 	}
-	var out []match.Env
+	if len(tuples) == 0 {
+		return nil
+	}
+	ext := make([]VarBinding, 0, len(im.adornment)-len(inputs))
 	for _, tuple := range tuples {
-		e := env
+		ext = ext[:0]
 		ok := true
 		ti := 0
 		for i, mode := range im.adornment {
@@ -257,36 +290,51 @@ func (t *Table) call(p *msl.PredicateConjunct, im impl, env match.Env) ([]match.
 				continue
 			}
 			if ti >= len(tuple) {
-				return nil, fmt.Errorf("extfn: %s (via %s) returned %d outputs, adornment has more free positions",
+				return fmt.Errorf("extfn: %s (via %s) returned %d outputs, adornment has more free positions",
 					p.Name, im.funcName, len(tuple))
 			}
 			val := tuple[ti]
 			ti++
 			switch a := p.Args[i].(type) {
 			case *msl.Var:
-				e, ok = e.Extend(a.Name, match.BindVal(val))
+				ext, ok = bindFree(ext, row, a.Name, match.BindVal(val))
 			case *msl.Const:
 				ok = a.Value.Equal(val)
 			default:
-				return nil, fmt.Errorf("extfn: %s argument %d has unsupported term %s", p.Name, i+1, p.Args[i])
+				return fmt.Errorf("extfn: %s argument %d has unsupported term %s", p.Name, i+1, p.Args[i])
 			}
 			if !ok {
 				break
 			}
 		}
 		if ok {
-			out = append(out, e)
+			emit(ext)
 		}
 	}
-	return out, nil
+	return nil
 }
 
-func argValue(t msl.Term, env match.Env) (oem.Value, error) {
+// bindFree binds a free-position variable the way Env.Extend would on the
+// row extended by ext: a variable already bound (by the row or by an
+// earlier position) must agree and keeps its binding; a new one is added.
+func bindFree(ext []VarBinding, row Row, name string, b match.Binding) ([]VarBinding, bool) {
+	for _, have := range ext {
+		if have.Name == name {
+			return ext, have.Binding.Equal(b)
+		}
+	}
+	if have, bound := row.Lookup(name); bound {
+		return ext, have.Equal(b)
+	}
+	return append(ext, VarBinding{Name: name, Binding: b}), true
+}
+
+func argValue(t msl.Term, row match.Bindings) (oem.Value, error) {
 	switch a := t.(type) {
 	case *msl.Const:
 		return a.Value, nil
 	case *msl.Var:
-		b, ok := env.Lookup(a.Name)
+		b, ok := row.Lookup(a.Name)
 		if !ok {
 			return nil, fmt.Errorf("variable %s is unbound", a.Name)
 		}
@@ -301,56 +349,56 @@ func argValue(t msl.Term, env match.Env) (oem.Value, error) {
 
 // evalStructural evaluates has(S, L)/lacks(S, L): S must be bound to a
 // set of objects (typically a rest variable) and L to a string label.
-func evalStructural(p *msl.PredicateConjunct, env match.Env) ([]match.Env, error) {
+func evalStructural(p *msl.PredicateConjunct, row match.Bindings, emit func([]VarBinding)) error {
 	if len(p.Args) != 2 {
-		return nil, fmt.Errorf("extfn: %s takes 2 arguments, got %d", p.Name, len(p.Args))
+		return fmt.Errorf("extfn: %s takes 2 arguments, got %d", p.Name, len(p.Args))
 	}
-	sv, err := argValue(p.Args[0], env)
+	sv, err := argValue(p.Args[0], row)
 	if err != nil {
-		return nil, fmt.Errorf("extfn: %s: %w", p.Name, err)
+		return fmt.Errorf("extfn: %s: %w", p.Name, err)
 	}
 	set, ok := sv.(oem.Set)
 	if !ok {
-		return nil, fmt.Errorf("extfn: %s: first argument must be a set (a rest variable), got %s", p.Name, sv.Kind())
+		return fmt.Errorf("extfn: %s: first argument must be a set (a rest variable), got %s", p.Name, sv.Kind())
 	}
-	lv, err := argValue(p.Args[1], env)
+	lv, err := argValue(p.Args[1], row)
 	if err != nil {
-		return nil, fmt.Errorf("extfn: %s: %w", p.Name, err)
+		return fmt.Errorf("extfn: %s: %w", p.Name, err)
 	}
 	label, ok := lv.(oem.String)
 	if !ok {
-		return nil, fmt.Errorf("extfn: %s: second argument must be a label string, got %s", p.Name, lv)
+		return fmt.Errorf("extfn: %s: second argument must be a label string, got %s", p.Name, lv)
 	}
 	found := set.First(string(label)) != nil
 	if found == (p.Name == "has") {
-		return []match.Env{env}, nil
+		emit(nil)
 	}
-	return nil, nil
+	return nil
 }
 
-func evalComparison(p *msl.PredicateConjunct, pass func(int) bool, env match.Env) ([]match.Env, error) {
+func evalComparison(p *msl.PredicateConjunct, pass func(int) bool, row match.Bindings, emit func([]VarBinding)) error {
 	if len(p.Args) != 2 {
-		return nil, fmt.Errorf("extfn: %s takes 2 arguments, got %d", p.Name, len(p.Args))
+		return fmt.Errorf("extfn: %s takes 2 arguments, got %d", p.Name, len(p.Args))
 	}
-	a, err := argValue(p.Args[0], env)
+	a, err := argValue(p.Args[0], row)
 	if err != nil {
-		return nil, fmt.Errorf("extfn: %s: %w", p.Name, err)
+		return fmt.Errorf("extfn: %s: %w", p.Name, err)
 	}
-	b, err := argValue(p.Args[1], env)
+	b, err := argValue(p.Args[1], row)
 	if err != nil {
-		return nil, fmt.Errorf("extfn: %s: %w", p.Name, err)
+		return fmt.Errorf("extfn: %s: %w", p.Name, err)
 	}
 	cmp, comparable := oem.CompareAtoms(a, b)
 	if !comparable {
 		// Incomparable values: eq fails, ne holds, orderings fail — the
 		// tolerant behaviour irregular sources need.
 		if p.Name == "ne" && !a.Equal(b) {
-			return []match.Env{env}, nil
+			emit(nil)
 		}
-		return nil, nil
+		return nil
 	}
 	if pass(cmp) {
-		return []match.Env{env}, nil
+		emit(nil)
 	}
-	return nil, nil
+	return nil
 }

@@ -20,7 +20,7 @@ func check3(bound []oem.Value) ([][]oem.Value, error) {
 	return CheckNameLnFn(bound)
 }
 
-func newTable(t *testing.T) *Table {
+func newTable(t testing.TB) *Table {
 	t.Helper()
 	reg := NewRegistry()
 	reg.Register("check3", check3)
@@ -32,7 +32,7 @@ func newTable(t *testing.T) *Table {
 	return tbl
 }
 
-func pred(t *testing.T, src string) *msl.PredicateConjunct {
+func pred(t testing.TB, src string) *msl.PredicateConjunct {
 	t.Helper()
 	r, err := msl.ParseRule("X :- X:<p>@s AND " + src + ".")
 	if err != nil {
@@ -390,5 +390,24 @@ func TestRegistryNames(t *testing.T) {
 	reg.Register("zzz_custom", func([]oem.Value) ([][]oem.Value, error) { return nil, nil })
 	if _, ok := reg.Lookup("zzz_custom"); !ok {
 		t.Fatal("custom registration lost")
+	}
+}
+
+// BenchmarkEvalRow measures one row through a declared predicate with
+// free outputs and through a builtin check, as the engine's external
+// predicate node calls them.
+func BenchmarkEvalRow(b *testing.B) {
+	tbl := newTable(b)
+	row := match.Env{"N": match.BindString("Joe Chung"), "Y": match.BindVal(oem.Int(3))}
+	for _, src := range []string{"decomp(N, LN, FN)", "lt(Y, 4)"} {
+		p := pred(b, src)
+		b.Run(p.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := tbl.EvalRow(p, row, func([]VarBinding) {}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

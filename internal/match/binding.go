@@ -95,6 +95,13 @@ func (b Binding) AsValue() (oem.Value, bool) {
 	return nil, false
 }
 
+// Bindings is read access to one row of variable bindings: an Env, or a
+// row of a binding table read in place. An unbound variable reads as the
+// zero Binding and false.
+type Bindings interface {
+	Lookup(name string) (Binding, bool)
+}
+
 // Env is an immutable-by-convention variable environment: extensions copy.
 // The zero value (nil map) is the empty environment.
 type Env map[string]Binding

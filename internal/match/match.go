@@ -7,16 +7,16 @@ import (
 	"medmaker/internal/oem"
 )
 
-// eenv is the matcher's internal environment: a base Env plus a
-// persistent chain of extensions. Set-pattern matching enumerates many
-// candidate bindings and discards most of them; extending a chain is one
-// small allocation, where extending a map copies every entry, so the map
-// is only built — by materialize — for environments that survive the
-// whole pattern.
+// eenv is the matcher's internal environment: a base row of bindings
+// plus a persistent chain of extensions. Set-pattern matching enumerates
+// many candidate bindings and discards most of them; extending a chain is
+// one small allocation, where extending a map copies every entry, so an
+// Env is only built — by materialize — for environments that survive the
+// whole pattern, and only when the caller asks for Envs (Tops, Object);
+// TopsEach hands the chain itself to its caller.
 type eenv struct {
-	base Env
+	base Bindings // nil for the empty environment
 	node *extNode
-	n    int // chain length, to size the materialized map
 }
 
 // extNode is one extension; chains share tails, so sibling branches of
@@ -33,8 +33,10 @@ func (e eenv) lookup(name string) (Binding, bool) {
 			return nd.b, true
 		}
 	}
-	b, ok := e.base[name]
-	return b, ok
+	if e.base == nil {
+		return Binding{}, false
+	}
+	return e.base.Lookup(name)
 }
 
 // extend mirrors Env.Extend: already-bound names must agree, new names
@@ -46,17 +48,23 @@ func (e eenv) extend(name string, b Binding) (eenv, bool) {
 		}
 		return eenv{}, false
 	}
-	return eenv{base: e.base, node: &extNode{prev: e.node, name: name, b: b}, n: e.n + 1}, true
+	return eenv{base: e.base, node: &extNode{prev: e.node, name: name, b: b}}, true
 }
 
-// materialize flattens the chain into a plain Env. An unextended chain
-// returns the base itself, matching Env.Extend's sharing behavior.
+// materialize flattens the chain over an Env base into a plain Env. An
+// unextended chain returns the base itself, matching Env.Extend's sharing
+// behavior.
 func (e eenv) materialize() Env {
+	base, _ := e.base.(Env)
 	if e.node == nil {
-		return e.base
+		return base
 	}
-	out := make(Env, len(e.base)+e.n)
-	for k, v := range e.base {
+	n := len(base)
+	for nd := e.node; nd != nil; nd = nd.prev {
+		n++
+	}
+	out := make(Env, n)
+	for k, v := range base {
 		out[k] = v
 	}
 	// Names are unique along a chain by construction, so order is moot.
@@ -76,6 +84,15 @@ func materializeAll(envs []eenv) []Env {
 	}
 	return out
 }
+
+// Match is one environment under which a pattern matched, as TopsEach
+// hands it out: the row the match ran under plus the bindings the match
+// added, read without building a map.
+type Match struct{ e eenv }
+
+// Lookup returns the binding of a variable: the match's own binding, or
+// else the row's.
+func (m Match) Lookup(name string) (Binding, bool) { return m.e.lookup(name) }
 
 // Object returns every extension of env under which the pattern matches
 // obj. A pattern with the wildcard flag may match obj itself or any
@@ -133,7 +150,30 @@ func walkOnce(o *oem.Object, seen map[*oem.Object]bool, visit func(*oem.Object) 
 // resulting environments. This is the semantics of one tail pattern
 // conjunct evaluated against a source.
 func Tops(p *msl.ObjectPattern, objVar *msl.Var, tops []*oem.Object, env Env) ([]Env, error) {
-	base := eenv{base: env}
+	out, err := topsE(p, objVar, tops, eenv{base: env})
+	if err != nil {
+		return nil, err
+	}
+	return materializeAll(out), nil
+}
+
+// TopsEach is Tops under a row read through row (nil for the empty
+// environment), handing each resulting environment to yield, in Tops's
+// order, instead of materializing it: the caller reads the variables it
+// keeps with Match.Lookup. yield is called only once matching has
+// succeeded over every object; on error it is not called at all.
+func TopsEach(p *msl.ObjectPattern, objVar *msl.Var, tops []*oem.Object, row Bindings, yield func(Match)) error {
+	out, err := topsE(p, objVar, tops, eenv{base: row})
+	if err != nil {
+		return err
+	}
+	for _, e := range out {
+		yield(Match{e})
+	}
+	return nil
+}
+
+func topsE(p *msl.ObjectPattern, objVar *msl.Var, tops []*oem.Object, base eenv) ([]eenv, error) {
 	var out []eenv
 	// One seen-set across all tops: a subobject shared between two
 	// top-level objects matches once, not once per top.
@@ -165,7 +205,7 @@ func Tops(p *msl.ObjectPattern, objVar *msl.Var, tops []*oem.Object, env Env) ([
 			return nil, walkErr
 		}
 	}
-	return materializeAll(out), nil
+	return out, nil
 }
 
 func matchWithObjVar(p *msl.ObjectPattern, objVar *msl.Var, obj *oem.Object, env eenv) ([]eenv, error) {

@@ -1,10 +1,8 @@
 package oem
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 )
 
 // structuralHash computes a 64-bit hash of the object's structure that is
@@ -15,59 +13,82 @@ func (o *Object) structuralHash() uint64 {
 	if o == nil {
 		return 0
 	}
-	h := fnv.New64a()
-	h.Write([]byte(o.Label))
-	h.Write([]byte{0})
-	switch v := o.Value.(type) {
+	return hashNode(o.Label, o.Value)
+}
+
+// FNV-1a, 64 bit, inlined so hashing allocates nothing: the hash is
+// bit-identical to hash/fnv's New64a over the same bytes.
+const (
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
+)
+
+// fnvAdd folds in the bytes of s.
+func fnvAdd[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
+}
+
+func fnvByte(h uint64, c byte) uint64 { return (h ^ uint64(c)) * fnvPrime }
+
+// fnvUint64 folds v in as its 8 little-endian bytes.
+func fnvUint64(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ (v & 0xff)) * fnvPrime
+		v >>= 8
+	}
+	return h
+}
+
+// smallSet is how many member hashes a set hashes from a stack buffer.
+const smallSet = 16
+
+// hashNode hashes an object with the given label and value: the label, a
+// zero byte, then a kind tag and the value's bytes.
+func hashNode(label string, value Value) uint64 {
+	h := fnvByte(fnvAdd(fnvOffset, label), 0)
+	switch v := value.(type) {
 	case nil:
-		h.Write([]byte("set:0"))
+		h = fnvAdd(h, "set:0")
 	case String:
-		h.Write([]byte{'s'})
-		h.Write([]byte(v))
+		h = fnvAdd(fnvByte(h, 's'), string(v))
 	case Int:
 		// Ints and equal-valued floats must hash alike because they
 		// compare equal (3 == 3.0).
-		writeNumHash(h, float64(v))
+		h = fnvUint64(fnvByte(h, 'n'), math.Float64bits(float64(v)))
 	case Float:
-		writeNumHash(h, float64(v))
+		h = fnvUint64(fnvByte(h, 'n'), math.Float64bits(float64(v)))
 	case Bool:
+		h = fnvByte(h, 'b')
 		if v {
-			h.Write([]byte{'b', 1})
+			h = fnvByte(h, 1)
 		} else {
-			h.Write([]byte{'b', 0})
+			h = fnvByte(h, 0)
 		}
 	case Bytes:
-		h.Write([]byte{'y'})
-		h.Write(v)
+		h = fnvAdd(fnvByte(h, 'y'), []byte(v))
 	case Set:
 		// Combine member hashes order-insensitively: hash the sorted
 		// multiset of member hashes. Members go through the memoized
 		// StructuralHash, so a shared subtree is walked at most once
 		// however many parents hash it.
-		hashes := make([]uint64, len(v))
-		for i, sub := range v {
-			hashes[i] = sub.StructuralHash()
+		var buf [smallSet]uint64
+		hashes := buf[:0]
+		if len(v) > smallSet {
+			hashes = make([]uint64, 0, len(v))
 		}
-		sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
-		var buf [8]byte
-		h.Write([]byte{'S'})
+		for _, sub := range v {
+			hashes = append(hashes, sub.StructuralHash())
+		}
+		slices.Sort(hashes)
+		h = fnvByte(h, 'S')
 		for _, sub := range hashes {
-			binary.LittleEndian.PutUint64(buf[:], sub)
-			h.Write(buf[:])
+			h = fnvUint64(h, sub)
 		}
 	}
-	return h.Sum64()
-}
-
-type hashWriter interface {
-	Write(p []byte) (int, error)
-}
-
-func writeNumHash(h hashWriter, f float64) {
-	var buf [9]byte
-	buf[0] = 'n'
-	binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(f))
-	h.Write(buf[:])
+	return h
 }
 
 // StructuralHash exposes the structural hash for callers that build
@@ -109,5 +130,5 @@ func (o *Object) InvalidateHash() {
 // HashValue hashes a standalone Value with the same invariants as
 // StructuralHash: values that compare Equal hash equally.
 func HashValue(v Value) uint64 {
-	return (&Object{Label: "\x00v", Value: v}).structuralHash()
+	return hashNode("\x00v", v)
 }

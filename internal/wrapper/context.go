@@ -2,6 +2,7 @@ package wrapper
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"medmaker/internal/msl"
@@ -90,21 +91,32 @@ func QueryBatchContext(ctx context.Context, src Source, qs []*msl.Rule) ([][]*oe
 // EachQueryContext answers qs with one QueryContext call per rule,
 // checking for cancellation between queries. A failure at query i
 // surfaces as a *QueryError with Index i, so the caller knows both which
-// answers are valid (those before i) and which query to blame.
+// answers are valid (those before i) and which query to blame. A query
+// answered beside a *PartialError (a composite or a mediator that lost a
+// member) keeps its answer: the batch then returns every answer with one
+// *PartialError listing the failed members of all its queries, in order.
 func EachQueryContext(ctx context.Context, src Source, qs []*msl.Rule) ([][]*oem.Object, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	out := make([][]*oem.Object, len(qs))
+	var failed []*ShardError
 	for i, q := range qs {
 		if err := ctx.Err(); err != nil {
 			return nil, &QueryError{Source: src.Name(), Index: i, Err: err}
 		}
 		objs, err := QueryContext(ctx, src, q)
 		if err != nil {
-			return nil, &QueryError{Source: src.Name(), Index: i, Err: err}
+			var pe *PartialError
+			if !errors.As(err, &pe) {
+				return nil, &QueryError{Source: src.Name(), Index: i, Err: err}
+			}
+			failed = append(failed, pe.Failed...)
 		}
 		out[i] = objs
+	}
+	if failed != nil {
+		return out, &PartialError{Failed: failed}
 	}
 	return out, nil
 }

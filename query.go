@@ -35,12 +35,34 @@ func (m *Mediator) Query(q *Rule) ([]*Object, error) {
 // view expansion, planning, and execution, including in-flight source
 // exchanges — and surfaces as ctx.Err(). Every goroutine the engine
 // started has exited by the time QueryContext returns.
+//
+// A run the mediator's policy let degrade (QueryResult.Incomplete)
+// answers the way a composite source that lost a member does: the
+// surviving objects together with a *wrapper.PartialError holding one
+// ShardError per SourceError. A mediator serving as another's source thus
+// hands its degradation up — the upper tier records the failed sources
+// and its answer cache stores nothing — instead of passing a lower bound
+// off as complete.
 func (m *Mediator) QueryContext(ctx context.Context, q *Rule) ([]*Object, error) {
 	res, err := m.QueryPolicy(ctx, q, m.policy)
 	if err != nil {
 		return nil, err
 	}
-	return res.Objects, nil
+	return res.Objects, m.partialError(res)
+}
+
+// partialError is res's degradation record as a composite source reports
+// it, or nil for a complete answer. Shard numbers the failures in the
+// order the run observed them.
+func (m *Mediator) partialError(res *QueryResult) error {
+	if !res.Incomplete {
+		return nil
+	}
+	failed := make([]*wrapper.ShardError, len(res.SourceErrors))
+	for i, se := range res.SourceErrors {
+		failed[i] = &wrapper.ShardError{Source: m.name, Member: se.Source, Shard: i, Err: se.Err}
+	}
+	return &wrapper.PartialError{Failed: failed}
 }
 
 // QueryPolicy is QueryContext under an explicit execution policy,
@@ -428,7 +450,9 @@ func (m *Mediator) queryFusedView(ctx context.Context, policy ExecPolicy, q *Rul
 	return res, nil
 }
 
-// QueryString parses and answers an MSL query given as text.
+// QueryString parses and answers an MSL query given as text. It returns
+// the answer's objects alone: under a skipping policy they may be a lower
+// bound, which QueryPolicy reports.
 func (m *Mediator) QueryString(q string) ([]*Object, error) {
 	return m.QueryStringContext(context.Background(), q)
 }
@@ -439,17 +463,29 @@ func (m *Mediator) QueryStringContext(ctx context.Context, q string) ([]*Object,
 	if err != nil {
 		return nil, err
 	}
-	return m.QueryContext(ctx, rule)
+	return m.objects(ctx, rule)
+}
+
+// objects answers q under the mediator's policy and returns the objects
+// alone — the end-user forms' answer (QueryString, QueryLorel).
+func (m *Mediator) objects(ctx context.Context, q *Rule) ([]*Object, error) {
+	res, err := m.QueryPolicy(ctx, q, m.policy)
+	if err != nil {
+		return nil, err
+	}
+	return res.Objects, nil
 }
 
 // QueryBatch implements BatchQuerier by answering the queries one by one
 // in-process — a mediator's exchanges with its own sources already batch,
 // so the interface exists for symmetry when mediators are layered.
 func (m *Mediator) QueryBatch(qs []*Rule) ([][]*Object, error) {
-	return wrapper.EachQuery(m, qs)
+	return m.QueryBatchContext(context.Background(), qs)
 }
 
-// QueryBatchContext implements ContextBatchQuerier (see QueryBatch).
+// QueryBatchContext implements ContextBatchQuerier (see QueryBatch). A
+// degraded query keeps its answer: the batch returns every answer with
+// one *wrapper.PartialError listing the failures of all its queries.
 func (m *Mediator) QueryBatchContext(ctx context.Context, qs []*Rule) ([][]*Object, error) {
 	return wrapper.EachQueryContext(ctx, m, qs)
 }
@@ -470,10 +506,10 @@ func (m *Mediator) QueryLorelContext(ctx context.Context, q string) ([]*Object, 
 		return nil, err
 	}
 	if translated.Rule != nil {
-		return m.QueryContext(ctx, translated.Rule)
+		return m.objects(ctx, translated.Rule)
 	}
 	result, err := translated.Fold(func(r *Rule) ([]*Object, error) {
-		return m.QueryContext(ctx, r)
+		return m.objects(ctx, r)
 	})
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"medmaker/internal/workload"
+	"medmaker/internal/wrapper"
 )
 
 // Tiered mediation tests: a mediator is a Source, so a tier-1 mediator
@@ -196,5 +197,106 @@ func TestTierTransitiveInvalidation(t *testing.T) {
 	top.WaitMatViews()
 	if got := top.MatViewStats().Stale; got <= matBefore {
 		t.Fatalf("tier-1 matview extent not marked stale by tier-2 invalidation: %d -> %d", matBefore, got)
+	}
+}
+
+// TestTierForwardsDegradation: a tier whose 4-shard whois lost a member
+// under Skip answers its upper tier with the survivors and a partial
+// error, so the upper tier — also under Skip — reports its run
+// Incomplete with the dead member named, instead of a complete answer.
+// With the answer cache on the upper tier the degraded answer is not
+// stored, so a second run is not served complete from it. A batch to the
+// lower tier keeps every query's surviving answer.
+func TestTierForwardsDegradation(t *testing.T) {
+	s, err := workload.GenStaffSharded(workload.StaffConfig{
+		Persons: 120, Departments: 1, Seed: 4,
+	}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLive := 0
+	for i, st := range s.Stores {
+		if i != deadShard {
+			wantLive += st.Len()
+		}
+	}
+	deadName := fmt.Sprintf("whois%d", deadShard)
+	skip := ExecPolicy{OnSourceError: OnSourceErrorSkip}
+	q, err := ParseQuery(`P :- P:<profile {<name N>}>@med.`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, input := range []struct {
+		name  string
+		cache *CacheOptions
+	}{
+		{"direct", nil},
+		{"cache", &CacheOptions{}},
+	} {
+		t.Run(input.name, func(t *testing.T) {
+			sub, err := New(Config{
+				Name:    "sub",
+				Spec:    `<profile {<name N> | R}> :- <person {<name N> | R}>@whois.`,
+				Sources: []Source{deadShardWhois(t, s)},
+				Policy:  skip,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			top, err := New(Config{
+				Name:    "med",
+				Spec:    `<profile {<name N> | R}> :- <profile {<name N> | R}>@sub.`,
+				Sources: []Source{sub},
+				Policy:  skip,
+				Cache:   input.cache,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for run := 1; run <= 2; run++ {
+				res, err := top.QueryPolicy(context.Background(), q, top.Policy())
+				if err != nil {
+					t.Fatalf("run %d: %v", run, err)
+				}
+				if !res.Incomplete {
+					t.Fatalf("run %d: upper tier reported %d objects complete; the lower tier lost %s", run, len(res.Objects), deadName)
+				}
+				named := false
+				for _, se := range res.SourceErrors {
+					named = named || se.Source == deadName
+				}
+				if !named {
+					t.Fatalf("run %d: SourceErrors %v do not name %s", run, res.SourceErrors, deadName)
+				}
+				if len(res.Objects) != wantLive {
+					t.Fatalf("run %d: %d objects, surviving shards hold %d", run, len(res.Objects), wantLive)
+				}
+			}
+		})
+	}
+
+	sub, err := New(Config{
+		Name:    "sub",
+		Spec:    `<profile {<name N> | R}> :- <person {<name N> | R}>@whois.`,
+		Sources: []Source{deadShardWhois(t, s)},
+		Policy:  skip,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, err := ParseQuery(`P :- P:<profile {<name N>}>@sub.`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers, err := sub.QueryBatchContext(context.Background(), []*Rule{scan, scan})
+	var pe *wrapper.PartialError
+	if !errors.As(err, &pe) {
+		t.Fatalf("degraded batch: error %v, want a partial error", err)
+	}
+	if len(pe.Failed) != 2 || pe.Failed[0].Member != deadName || pe.Failed[1].Member != deadName {
+		t.Fatalf("partial error %v, want %s once per query", pe, deadName)
+	}
+	if len(answers) != 2 || len(answers[0]) != wantLive || len(answers[1]) != wantLive {
+		t.Fatalf("degraded batch kept %d answers, want 2 of %d objects", len(answers), wantLive)
 	}
 }
