@@ -211,7 +211,7 @@ func runAdaptive(reps int, path string) {
 
 	// (1) Bind-join reordering. The heuristic mediator is the baseline;
 	// the adaptive mediator starts from the same (wrong) order — its cold
-	// fallback — and must learn its way out through traced executions.
+	// fallback — and must learn its way out through its own executions.
 	heur := adaptiveMed(medmaker.OrderHeuristic, bigObjs, smallObjs)
 	adpt := adaptiveMed(medmaker.OrderAdaptive, bigObjs, smallObjs)
 
@@ -227,8 +227,9 @@ func runAdaptive(reps int, path string) {
 	})
 	snap.Join.HeuristicNs = heurNs.Nanoseconds()
 
-	// Traced warmup: each traced run folds per-node actual rows and join
-	// selectivities back into the statistics store.
+	// Warmup: each run folds its actual answer sizes and join
+	// selectivities back into the statistics store when it ends; the
+	// runs are traced only so the snapshot can show them.
 	adptAnswer := ""
 	for i := 0; i < warmups; i++ {
 		res, _, err := adpt.QueryTraced(ctx, rule)

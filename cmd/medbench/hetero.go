@@ -207,10 +207,10 @@ func runHetero(reps int, path string) {
 	elapsed := time.Since(start)
 	st := med.MatViewStats()
 
-	qs := med.QueryStats()
-	e0 := qs.TotalExchanges()
+	e0, _ := engineTraffic()
 	final := must(query(med, all))
-	warmExchanges := qs.TotalExchanges() - e0
+	e1, _ := engineTraffic()
+	warmExchanges := e1 - e0
 
 	snap.Stream = heteroStream{
 		SeedEvents: seedEvents, BurstEvents: burst,

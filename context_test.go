@@ -437,8 +437,9 @@ func TestRemoteDeadline(t *testing.T) {
 	}
 }
 
-// TestStatsRecordSourceErrors: policy-absorbed failures land in the
-// statistics store, so flaky sources are visible to the cost model.
+// TestStatsRecordSourceErrors: a policy-absorbed failure is recorded once,
+// in the run's own record, and reaches the caller as the result's
+// SourceErrors.
 func TestStatsRecordSourceErrors(t *testing.T) {
 	_, whois, _ := scaledSources(t, 10)
 	med, err := New(Config{
@@ -449,13 +450,15 @@ func TestStatsRecordSourceErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := med.QueryString(`X :- X:<out {<name N>}>@med.`); err != nil {
+	q, err := ParseQuery(`X :- X:<out {<name N>}>@med.`)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n := med.QueryStats().SourceErrorCount("shaky"); n != 1 {
-		t.Fatalf("stats recorded %d errors for shaky, want 1", n)
+	res, err := med.QueryPolicy(context.Background(), q, med.Policy())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if errs := med.QueryStats().SourceErrors("shaky"); len(errs) != 1 {
-		t.Fatalf("stats retained %d errors, want 1", len(errs))
+	if !res.Incomplete || len(res.SourceErrors) != 1 || res.SourceErrors[0].Source != "shaky" {
+		t.Fatalf("incomplete=%v, source errors %v; want one, for shaky", res.Incomplete, res.SourceErrors)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"medmaker/internal/extfn"
-	"medmaker/internal/msl"
 	"medmaker/internal/oem"
 	"medmaker/internal/trace"
 	"medmaker/internal/wrapper"
@@ -25,13 +24,14 @@ type Executor struct {
 	Sources *wrapper.Registry
 	Extfn   *extfn.Table
 	IDGen   *oem.IDGen
-	// Stats, when non-nil, accumulates per-source result counts.
+	// Stats, when non-nil, learns from every run: answer sizes per query
+	// shape, parameterized-node selectivities, source latencies and
+	// answer-cache hit rates, folded in once when the run ends.
 	Stats *Stats
 	// Recorder, when non-nil, receives the run's structured execution
 	// record: per-node rows, wall time, exchange counts, per-source
 	// latency histograms, and each operator's output table as text (the
-	// flowing tables of Figure 3.6, see trace.QueryTrace.RenderFlow),
-	// merged race-free across parallel workers.
+	// flowing tables of Figure 3.6, see trace.QueryTrace.RenderFlow).
 	Recorder *trace.QueryTrace
 	// Parallelism > 1 lets the executor evaluate independent subtrees
 	// concurrently and fan parameterized-query input tuples across that
@@ -75,29 +75,36 @@ func (ex *Executor) parallelism() int {
 
 // Run executes the graph rooted at n and returns its output table.
 func (ex *Executor) Run(n Node) (*Table, error) {
-	return ex.runMaterialized(newRunState(ex, context.Background(), n), n)
+	rs := newRunState(ex, context.Background(), n)
+	defer rs.publish()
+	return ex.runMaterialized(rs, 0)
 }
 
-// runMaterialized is the paper's bottom-up evaluation: every operator's
-// output table is fully materialized before its parent runs. Independent
-// subtrees evaluate concurrently when the executor is parallel; inside an
-// operator, work fans out on the morsel scheduler (morsel.go), which at
-// width 1 is the serial loop.
-func (ex *Executor) runMaterialized(rs *runState, n Node) (*Table, error) {
+// runMaterialized is the paper's bottom-up evaluation of the operator in
+// slot i of the run record: every operator's output table is fully
+// materialized before its parent runs. Independent subtrees evaluate
+// concurrently when the executor is parallel; inside an operator, work
+// fans out on the morsel scheduler (morsel.go), serial at width 1.
+func (ex *Executor) runMaterialized(rs *runState, i int) (*Table, error) {
 	if err := rs.cancelled(); err != nil {
 		return nil, err
 	}
-	kidNodes := n.Kids()
-	kids := make([]*Table, len(kidNodes))
-	if ex.parallelism() > 1 && len(kidNodes) > 1 {
-		errs := make([]error, len(kidNodes))
+	ops := rs.rec.ops
+	op := &ops[i]
+	nkids := 0
+	for k := i + 1; k < op.end; k = ops[k].end {
+		nkids++
+	}
+	kids := make([]*Table, nkids)
+	if ex.parallelism() > 1 && nkids > 1 {
+		errs := make([]error, nkids)
 		var wg sync.WaitGroup
-		for i, k := range kidNodes {
+		for j, k := 0, i+1; k < op.end; j, k = j+1, ops[k].end {
 			wg.Add(1)
-			go func(i int, k Node) {
+			go func(j, k int) {
 				defer wg.Done()
-				kids[i], errs[i] = ex.runMaterialized(rs, k)
-			}(i, k)
+				kids[j], errs[j] = ex.runMaterialized(rs, k)
+			}(j, k)
 		}
 		wg.Wait()
 		for _, err := range errs {
@@ -106,20 +113,20 @@ func (ex *Executor) runMaterialized(rs *runState, n Node) (*Table, error) {
 			}
 		}
 	} else {
-		for i, k := range kidNodes {
+		for j, k := 0, i+1; k < op.end; j, k = j+1, ops[k].end {
 			t, err := ex.runMaterialized(rs, k)
 			if err != nil {
 				return nil, err
 			}
-			kids[i] = t
+			kids[j] = t
 		}
 	}
 	start := time.Now()
-	out, err := n.run(rs, kids)
+	out, err := op.node.run(rs, kids)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", n.Label(), err)
+		return nil, fmt.Errorf("%s: %w", op.node.Label(), err)
 	}
-	rs.observeNode(n, kids, out, time.Since(start))
+	rs.observe(op, kids, out, time.Since(start))
 	return out, nil
 }
 
@@ -132,7 +139,8 @@ func (ex *Executor) runMaterialized(rs *runState, n Node) (*Table, error) {
 // by the time RunResult returns.
 func (ex *Executor) RunResult(ctx context.Context, n Node) (*Result, error) {
 	rs := newRunState(ex, ctx, n)
-	t, err := ex.runMaterialized(rs, n)
+	defer rs.publish()
+	t, err := ex.runMaterialized(rs, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -147,63 +155,7 @@ func (ex *Executor) RunResult(ctx context.Context, n Node) (*Result, error) {
 		}
 		out = append(out, b.Obj)
 	}
-	rs.absorbFeedback()
 	return rs.result(out), nil
-}
-
-// absorbFeedback closes the observe→learn loop after a traced run: for
-// every parameterized query node the trace watched, the observed output
-// rows per input row — the join selectivity the node actually delivered —
-// is folded into the statistics store under the node's shape key with an
-// "|out" suffix. The adaptive join order reads these to price inner
-// positions as outer-cardinality × learned selectivity. Negated nodes are
-// skipped: their output is a filter decision, not a cardinality.
-func (rs *runState) absorbFeedback() {
-	if rs.obs == nil || rs.ex.Stats == nil {
-		return
-	}
-	for n, ns := range rs.obs.nodes {
-		qn, ok := n.(*QueryNode)
-		if !ok || qn.Shape == "" || qn.Negated || qn.Child == nil {
-			continue
-		}
-		in := ns.RowsIn()
-		if in <= 0 {
-			continue
-		}
-		rs.ex.Stats.RecordValue(qn.Source, qn.Shape+"|out", float64(ns.RowsOut())/float64(in))
-	}
-}
-
-// recordQuery folds one instantiated query's answer size into the
-// statistics store, under the node's condition-aware shape key (when the
-// planner attached one) and under the label-only template bucket the
-// pre-shape cost model falls back to.
-func (ex *Executor) recordQuery(n *QueryNode, results int) {
-	if ex.Stats == nil {
-		return
-	}
-	if n.Shape != "" {
-		ex.Stats.Record(n.Source, n.Shape, results)
-	}
-	ex.Stats.Record(n.Source, templateKey(n.Send), results)
-}
-
-// templateKey identifies a query shape for the statistics store: the
-// source pattern labels of the template, ignoring constants, so repeated
-// parameterized instances aggregate under one key.
-func templateKey(r *msl.Rule) string {
-	var parts []string
-	for _, c := range r.Tail {
-		if pc, ok := c.(*msl.PatternConjunct); ok {
-			l := pc.Pattern.LabelName()
-			if l == "" {
-				l = "*"
-			}
-			parts = append(parts, l)
-		}
-	}
-	return strings.Join(parts, "+")
 }
 
 // PrintGraph renders the graph as an indented tree, leaves last — the

@@ -44,8 +44,10 @@ func (ex *Executor) morselCount(total int) int {
 // (small input or serial executor) the morsels run inline in order;
 // otherwise they run on a worker pool and fn must be safe for
 // concurrent calls on distinct morsels. The first error (or the run's
-// cancellation) stops the pool. Morsel and worker counts are reported to
-// the node's trace record.
+// cancellation) stops the pool; the error returned is the lowest failed
+// morsel's, as in the serial loop, or the run's own context error once
+// the run is cancelled. Morsel and worker counts are reported to the
+// node's trace record.
 func (rs *runState) runMorsels(n Node, total int, fn func(m, lo, hi int) error) error {
 	return rs.runMorselsWidth(n, total, rs.ex.morselRows(), fn)
 }
@@ -66,8 +68,10 @@ func (rs *runState) runMorselsWidth(n Node, total, size int, fn func(m, lo, hi i
 	if workers > morsels {
 		workers = morsels
 	}
-	if ns := rs.nodeObs(n); ns != nil {
-		ns.AddMorsels(morsels, workers)
+	if rs.rec.qt != nil {
+		if op := rs.rec.op(n); op != nil {
+			op.ts.AddMorsels(morsels, workers)
+		}
 	}
 	clampHi := func(lo int) int {
 		hi := lo + size
@@ -88,8 +92,12 @@ func (rs *runState) runMorselsWidth(n Node, total, size int, fn func(m, lo, hi i
 		}
 		return nil
 	}
+	// A worker stops at its first failed morsel, failed[w]. Morsels are
+	// claimed in order and run to the end once claimed, so the lowest
+	// failed morsel is the serial loop's, whatever the interleaving.
 	var next atomic.Int64
 	errs := make([]error, workers)
+	failed := make([]int, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -100,13 +108,13 @@ func (rs *runState) runMorselsWidth(n Node, total, size int, fn func(m, lo, hi i
 				if m >= morsels {
 					return
 				}
-				if err := rs.cancelled(); err != nil {
-					errs[w] = err
-					return
+				err := rs.cancelled()
+				if err == nil {
+					lo := m * size
+					err = fn(m, lo, clampHi(lo))
 				}
-				lo := m * size
-				if err := fn(m, lo, clampHi(lo)); err != nil {
-					errs[w] = err
+				if err != nil {
+					errs[w], failed[w] = err, m
 					next.Store(int64(morsels)) // stop the other workers claiming
 					return
 				}
@@ -114,10 +122,17 @@ func (rs *runState) runMorselsWidth(n Node, total, size int, fn func(m, lo, hi i
 		}(w)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	first := -1
+	for w, err := range errs {
+		if err != nil && (first < 0 || failed[w] < failed[first]) {
+			first = w
 		}
 	}
-	return nil
+	if first < 0 {
+		return nil
+	}
+	if err := rs.cancelled(); err != nil {
+		return err
+	}
+	return errs[first]
 }

@@ -118,9 +118,10 @@ func (n *QueryNode) run(rs *runState, kids []*Table) (*Table, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown source %q", n.Source)
 	}
+	op := rs.rec.op(n)
 	if len(kids) == 0 {
 		in := unitTable()
-		objs, err := n.querySource(rs, src, n.Send)
+		objs, err := n.querySource(rs, op, src, n.Send)
 		if err != nil {
 			return nil, err
 		}
@@ -130,7 +131,7 @@ func (n *QueryNode) run(rs *runState, kids []*Table) (*Table, error) {
 	}
 	in := kids[0]
 	if rs.ex.queryBatch() > 1 {
-		return n.runBatched(rs, src, in)
+		return n.runBatched(rs, op, src, in)
 	}
 	var tmpl *msl.Template
 	var slots []int
@@ -158,7 +159,7 @@ func (n *QueryNode) run(rs *runState, kids []*Table) (*Table, error) {
 				return err
 			}
 		}
-		objs, err := n.querySource(rs, src, q)
+		objs, err := n.querySource(rs, op, src, q)
 		if err != nil {
 			return err
 		}
@@ -178,12 +179,12 @@ func (n *QueryNode) outTable(in *Table) *Table {
 // querySource performs one single-query exchange under the run's context
 // and failure policy. When the policy absorbs a failure (or the source is
 // circuit-broken) the answer is empty, or a composite's surviving union,
-// and the run is marked incomplete.
-func (n *QueryNode) querySource(rs *runState, src wrapper.Source, q *msl.Rule) ([]*oem.Object, error) {
+// and the run is marked incomplete. op is n's slot in the run record.
+func (n *QueryNode) querySource(rs *runState, op *opRecord, src wrapper.Source, q *msl.Rule) ([]*oem.Object, error) {
 	if rs.sourceDown(n.Source) {
 		return nil, nil
 	}
-	ctx, cancel := rs.sourceCtx(n)
+	ctx, cancel := rs.sourceCtx(op)
 	start := time.Now()
 	objs, qerr := wrapper.QueryContext(ctx, src, q)
 	elapsed := time.Since(start)
@@ -191,8 +192,7 @@ func (n *QueryNode) querySource(rs *runState, src wrapper.Source, q *msl.Rule) (
 	if keep, err := rs.keepAnswer(n.Source, qerr); !keep {
 		return nil, err
 	}
-	rs.recordExchange(n, 1, elapsed)
-	rs.ex.recordQuery(n, len(objs))
+	rs.recordExchange(op, 1, len(objs), elapsed)
 	return objs, nil
 }
 
@@ -223,12 +223,12 @@ func (n *QueryNode) extract(out *Table, row *rowCursor, objs []*oem.Object) erro
 // context-aware form), and the answers are distributed back to the
 // originating rows in input order, so the output is identical to the
 // per-tuple path against deterministic sources.
-func (n *QueryNode) runBatched(rs *runState, src wrapper.Source, in *Table) (*Table, error) {
+func (n *QueryNode) runBatched(rs *runState, op *opRecord, src wrapper.Source, in *Table) (*Table, error) {
 	qs, of, err := n.instantiate(in)
 	if err != nil {
 		return nil, err
 	}
-	answers, err := n.fetchBatches(rs, src, qs)
+	answers, err := n.fetchBatches(rs, op, src, qs)
 	if err != nil {
 		return nil, err
 	}
@@ -262,14 +262,14 @@ func (n *QueryNode) runBatched(rs *runState, src wrapper.Source, in *Table) (*Ta
 // so independent exchanges run concurrently up to Executor.Parallelism;
 // answers[i] answers qs[i], so exchange completion order never affects
 // the output (extraction replays the input-row order).
-func (n *QueryNode) fetchBatches(rs *runState, src wrapper.Source, qs []*msl.Rule) ([][]*oem.Object, error) {
+func (n *QueryNode) fetchBatches(rs *runState, op *opRecord, src wrapper.Source, qs []*msl.Rule) ([][]*oem.Object, error) {
 	size := rs.ex.queryBatch()
 	canBatch := wrapper.Batches(src)
 	answers := make([][]*oem.Object, len(qs))
 	chunks := (len(qs) + size - 1) / size
 	err := rs.runMorselsWidth(n, chunks, 1, func(c, _, _ int) error {
 		lo, hi := c*size, min((c+1)*size, len(qs))
-		return n.fetchChunk(rs, src, qs[lo:hi], answers[lo:hi], canBatch)
+		return n.fetchChunk(rs, op, src, qs[lo:hi], answers[lo:hi], canBatch)
 	})
 	return answers, err
 }
@@ -277,12 +277,12 @@ func (n *QueryNode) fetchBatches(rs *runState, src wrapper.Source, qs []*msl.Rul
 // fetchChunk performs one exchange's worth of queries, answering qs[i]
 // into out[i]: a single batched exchange for batch-capable sources, one
 // exchange per query otherwise.
-func (n *QueryNode) fetchChunk(rs *runState, src wrapper.Source, qs []*msl.Rule, out [][]*oem.Object, canBatch bool) error {
+func (n *QueryNode) fetchChunk(rs *runState, op *opRecord, src wrapper.Source, qs []*msl.Rule, out [][]*oem.Object, canBatch bool) error {
 	if canBatch && len(qs) > 1 {
 		if rs.sourceDown(n.Source) {
 			return nil // every answer stays empty
 		}
-		ctx, cancel := rs.sourceCtx(n)
+		ctx, cancel := rs.sourceCtx(op)
 		batchStart := time.Now()
 		res, qerr := wrapper.QueryBatchContext(ctx, src, qs)
 		elapsed := time.Since(batchStart)
@@ -293,15 +293,16 @@ func (n *QueryNode) fetchChunk(rs *runState, src wrapper.Source, qs []*msl.Rule,
 		if len(res) != len(qs) {
 			return fmt.Errorf("engine: batch query to %s returned %d answers for %d queries", n.Source, len(res), len(qs))
 		}
-		rs.recordExchange(n, len(qs), elapsed)
+		answers := 0
 		for i := range qs {
 			out[i] = res[i]
-			rs.ex.recordQuery(n, len(res[i]))
+			answers += len(res[i])
 		}
+		rs.recordExchange(op, len(qs), answers, elapsed)
 		return nil
 	}
 	for i, q := range qs {
-		objs, err := n.querySource(rs, src, q)
+		objs, err := n.querySource(rs, op, src, q)
 		if err != nil {
 			return err
 		}

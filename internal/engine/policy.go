@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"medmaker/internal/oem"
-	"medmaker/internal/trace"
 	"medmaker/internal/wrapper"
 )
 
@@ -96,24 +95,22 @@ type Result struct {
 	SourceErrors []*SourceError
 }
 
-// runState carries one run's context and failure policy through the
-// operator graph; every worker of the run shares it.
+// runState carries one run's context, failure policy and record through
+// the operator graph; every worker of the run shares it.
 type runState struct {
 	ex  *Executor
 	ctx context.Context
-	deg *degradation
-	// obs holds the run's registered trace records (nil when the executor
-	// carries no Recorder). Its maps are built before execution starts and
-	// read-only afterwards, so concurrent workers share them lock-free.
-	obs *graphObs
+	deg degradation
+	rec runRecord
 }
 
 // degradation is the shared per-run record of skipped sources and
 // collected failures; it is written concurrently by parallel workers.
+// The check every exchange makes of down takes no lock.
 type degradation struct {
 	policy Policy
-	mu     sync.Mutex
-	down   map[string]bool // sources circuit-broken by OnErrorSkip
+	down   sync.Map   // sources circuit-broken by OnErrorSkip
+	mu     sync.Mutex // serializes errs and writes of down
 	errs   []*SourceError
 }
 
@@ -121,16 +118,14 @@ func newRunState(ex *Executor, ctx context.Context, root Node) *runState {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	rs := &runState{ex: ex, deg: &degradation{policy: ex.Policy}}
+	rs := &runState{ex: ex, deg: degradation{policy: ex.Policy}}
 	// Composite sources apply the timeout and circuit breaker per member.
 	var down func(string) bool
 	if ex.Policy.OnSourceError == OnErrorSkip {
 		down = rs.sourceDown
 	}
 	rs.ctx = wrapper.WithRunPolicy(ctx, ex.Policy.PerSourceTimeout, down)
-	if ex.Recorder != nil && root != nil {
-		rs.obs = newGraphObs(ex.Recorder, root)
-	}
+	rs.initRecord(root, ex.Recorder)
 	return rs
 }
 
@@ -139,29 +134,21 @@ func newRunState(ex *Executor, ctx context.Context, root Node) *runState {
 // cross-products abort promptly.
 func (rs *runState) cancelled() error { return rs.ctx.Err() }
 
-// sourceCtx derives the context for one of n's source exchanges: the
-// policy's per-source timeout applies on top of the run's own deadline,
-// and when the run is traced the exchange context carries the node and
-// source records, so layers below the engine (the wrapper-level answer
-// cache) attribute their events to them.
-func (rs *runState) sourceCtx(n *QueryNode) (context.Context, context.CancelFunc) {
-	ctx := rs.ctx
-	cancel := context.CancelFunc(func() {})
+// sourceCtx derives the context for one of op's source exchanges: the
+// policy's per-source timeout on top of the run's own deadline, carrying
+// op's slot, to which the answer cache attributes its lookups.
+func (rs *runState) sourceCtx(op *opRecord) (context.Context, context.CancelFunc) {
 	if d := rs.deg.policy.PerSourceTimeout; d > 0 {
-		ctx, cancel = context.WithTimeout(ctx, d)
+		return context.WithTimeout(op.ctx, d)
 	}
-	if rs.obs != nil {
-		ctx = trace.WithExchangeObs(ctx, rs.nodeObs(n), rs.srcObs(n.Source))
-	}
-	return ctx, cancel
+	return op.ctx, func() {}
 }
 
 // sourceDown reports whether the source was circuit-broken by a previous
 // failure under OnErrorSkip.
 func (rs *runState) sourceDown(source string) bool {
-	rs.deg.mu.Lock()
-	defer rs.deg.mu.Unlock()
-	return rs.deg.down[source]
+	_, down := rs.deg.down.Load(source)
+	return down
 }
 
 // sourceFailed applies the failure policy to a failed exchange. It
@@ -179,16 +166,10 @@ func (rs *runState) sourceFailed(source string, err error) error {
 	}
 	se := &SourceError{Source: source, Err: err}
 	rs.deg.mu.Lock()
+	defer rs.deg.mu.Unlock()
 	rs.deg.errs = append(rs.deg.errs, se)
 	if rs.deg.policy.OnSourceError == OnErrorSkip {
-		if rs.deg.down == nil {
-			rs.deg.down = make(map[string]bool)
-		}
-		rs.deg.down[source] = true
-	}
-	rs.deg.mu.Unlock()
-	if rs.ex.Stats != nil {
-		rs.ex.Stats.RecordError(source, err)
+		rs.deg.down.Store(source, true)
 	}
 	return nil
 }

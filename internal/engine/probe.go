@@ -137,9 +137,13 @@ func (n *QueryNode) template() (*msl.Template, error) {
 }
 
 // instantiate maps every row of in to its probe: of[i] indexes the
-// returned queries. A node without slots sends Send itself, once.
+// returned queries. A node without slots sends Send itself, once; no
+// rows send nothing.
 func (n *QueryNode) instantiate(in *Table) (qs []*msl.Rule, of []int, err error) {
 	of = make([]int, in.Len())
+	if in.Len() == 0 {
+		return nil, of, nil
+	}
 	if len(n.ParamVars) == 0 {
 		return []*msl.Rule{n.Send}, of, nil
 	}

@@ -18,16 +18,22 @@ import (
 // exponentially weighted moving averages so the store tracks a drifting
 // workload instead of freezing its first observations, and the shape map
 // is bounded by LRU eviction so distinct-query workloads cannot grow it
-// without limit.
+// without limit. The engine folds each run into the store once, when the
+// run ends (learn).
 type Stats struct {
 	mu      sync.RWMutex
-	entries map[string]*statEntry
+	entries map[statKey]*statEntry
 	lru     *list.List // front = most recently touched entry key
 	max     int
 	evicted int
 	gen     uint64
 	sources map[string]*sourceEntry
 }
+
+// statKey names one entry: a shape at a source.
+type statKey struct{ source, shape string }
+
+func (k statKey) String() string { return k.source + "@" + k.shape }
 
 type statEntry struct {
 	queries int
@@ -49,30 +55,19 @@ const latAlpha = 0.3
 // the stats.evicted metric.
 const DefaultStatsEntries = 4096
 
-// sourceEntry tracks per-source traffic: how many exchanges (network
-// round-trips) query nodes performed, how many queries those exchanges
-// carried (batching packs several per exchange), how the wrapper-level
-// answer cache fared, which failures were recorded, and the latency EWMA
-// the adaptive orderer reads.
+// sourceEntry is what the store learns per source: answer-cache lookups
+// and the latency EWMA the adaptive orderer reads.
 type sourceEntry struct {
-	exchanges   int
-	queries     int
 	cacheHits   int
 	cacheMisses int
-	errors      int
-	lastErrs    []error
 	latEWMA     float64 // seconds per exchange
 	latSeen     bool
 }
 
-// maxSourceErrs bounds the per-source retained error list; the count keeps
-// accumulating past it.
-const maxSourceErrs = 8
-
 // NewStats returns an empty statistics store.
 func NewStats() *Stats {
 	return &Stats{
-		entries: make(map[string]*statEntry),
+		entries: make(map[statKey]*statEntry),
 		lru:     list.New(),
 		max:     DefaultStatsEntries,
 		sources: make(map[string]*sourceEntry),
@@ -109,26 +104,16 @@ func (s *Stats) Generation() uint64 {
 	return s.gen
 }
 
-// RecordExchange adds one source exchange (a network round-trip, or its
-// in-process equivalent) that carried the given number of queries. The
-// datamerge engine calls this from every query node, so the counters
-// measure exactly the traffic the parameterized-query batching is meant
-// to reduce.
-func (s *Stats) RecordExchange(source string, queries int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.source(source)
-	e.exchanges++
-	e.queries += queries
-}
-
-// RecordLatency folds one successful exchange's wall time into the
-// source's latency EWMA. The engine reports every timed exchange here, so
-// the adaptive orderer weighs sources by what the engine actually
-// observed rather than what the wrapper promises.
+// RecordLatency folds one observed exchange latency into the source's
+// latency EWMA, so the adaptive orderer weighs sources by what the
+// engine actually observed rather than what the wrapper promises.
 func (s *Stats) RecordLatency(source string, d time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.recordLatencyLocked(source, d)
+}
+
+func (s *Stats) recordLatencyLocked(source string, d time.Duration) {
 	e := s.source(source)
 	sec := d.Seconds()
 	if !e.latSeen {
@@ -150,64 +135,6 @@ func (s *Stats) SourceLatency(source string) (time.Duration, bool) {
 	return 0, false
 }
 
-// SourceExchanges returns how many exchanges were performed against the
-// source.
-func (s *Stats) SourceExchanges(source string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if e, ok := s.sources[source]; ok {
-		return e.exchanges
-	}
-	return 0
-}
-
-// SourceQueries returns how many queries were sent to the source (each
-// exchange carries one or more).
-func (s *Stats) SourceQueries(source string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if e, ok := s.sources[source]; ok {
-		return e.queries
-	}
-	return 0
-}
-
-// TotalExchanges sums exchanges over all sources.
-func (s *Stats) TotalExchanges() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	total := 0
-	for _, e := range s.sources {
-		total += e.exchanges
-	}
-	return total
-}
-
-// TotalQueries sums queries over all sources.
-func (s *Stats) TotalQueries() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	total := 0
-	for _, e := range s.sources {
-		total += e.queries
-	}
-	return total
-}
-
-// RecordCache adds one answer-cache lookup outcome for the source; the
-// wrapper-level cache reports through this so the cost model can see hit
-// rates.
-func (s *Stats) RecordCache(source string, hit bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.source(source)
-	if hit {
-		e.cacheHits++
-	} else {
-		e.cacheMisses++
-	}
-}
-
 // CacheCounts returns the answer-cache hit and miss totals for the source.
 func (s *Stats) CacheCounts(source string) (hits, misses int) {
 	s.mu.RLock()
@@ -216,42 +143,6 @@ func (s *Stats) CacheCounts(source string) (hits, misses int) {
 		return e.cacheHits, e.cacheMisses
 	}
 	return 0, 0
-}
-
-// RecordError adds one failed exchange against the source — a refusal,
-// a broken connection, or a per-source timeout. The run state reports
-// every policy-absorbed failure here, so the counters tell the cost model
-// (and the operator reading a trace) which sources are flaky.
-func (s *Stats) RecordError(source string, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.source(source)
-	e.errors++
-	if len(e.lastErrs) < maxSourceErrs {
-		e.lastErrs = append(e.lastErrs, err)
-	}
-}
-
-// SourceErrorCount returns how many failed exchanges were recorded for
-// the source.
-func (s *Stats) SourceErrorCount(source string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if e, ok := s.sources[source]; ok {
-		return e.errors
-	}
-	return 0
-}
-
-// SourceErrors returns the retained failures for the source (at most the
-// first maxSourceErrs; SourceErrorCount has the full tally).
-func (s *Stats) SourceErrors(source string) []error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if e, ok := s.sources[source]; ok {
-		return append([]error(nil), e.lastErrs...)
-	}
-	return nil
 }
 
 // CacheHitRate returns the observed answer-cache hit rate for the source
@@ -264,6 +155,66 @@ func (s *Stats) CacheHitRate(source string) (float64, bool) {
 	return float64(hits) / float64(hits+misses), true
 }
 
+// learn folds one run's record into the store under one lock: each query
+// shape's mean answer size, under the node's condition-aware shape key
+// and its label-only template key; each parameterized, non-negated
+// node's output rows per input row — the join selectivity the adaptive
+// order reads — under its shape key with an "|out" suffix; each source's
+// mean exchange latency and its answer-cache lookups. Every key moves
+// once per run, by the run's mean, whatever order workers finished in.
+func (s *Stats) learn(r *runRecord) {
+	type fold struct {
+		key      statKey
+		num, den int64
+	}
+	var buf [16]fold
+	folds := buf[:0]
+	add := func(key statKey, num, den int64) {
+		for i := range folds {
+			if folds[i].key == key {
+				folds[i].num += num
+				folds[i].den += den
+				return
+			}
+		}
+		folds = append(folds, fold{key, num, den})
+	}
+	for i := range r.ops {
+		op := &r.ops[i]
+		if op.q == nil {
+			continue
+		}
+		if n := op.queries.Load(); n > 0 {
+			if op.q.Shape != "" {
+				add(statKey{op.q.Source, op.q.Shape}, op.answers.Load(), n)
+			}
+			if op.tkey != op.q.Shape {
+				add(statKey{op.q.Source, op.tkey}, op.answers.Load(), n)
+			}
+		}
+		if in := op.rowsIn.Load(); in > 0 && op.q.Shape != "" && op.q.Child != nil && !op.q.Negated {
+			add(statKey{op.q.Source, op.q.Shape + "|out"}, op.rowsOut.Load(), in)
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, f := range folds {
+		s.recordLocked(f.key, float64(f.num)/float64(f.den))
+	}
+	for i := range r.sources {
+		src := &r.sources[i]
+		exchanges, _, hits, misses := r.sourceTraffic(i)
+		if exchanges > 0 {
+			s.recordLatencyLocked(src.name, src.latency.Mean())
+		}
+		if hits+misses > 0 {
+			e := s.source(src.name)
+			e.cacheHits += int(hits)
+			e.cacheMisses += int(misses)
+		}
+	}
+}
+
 // Record adds one observation: a query of the given shape against the
 // source returned n objects.
 func (s *Stats) Record(source, shape string, n int) {
@@ -274,9 +225,12 @@ func (s *Stats) Record(source, shape string, n int) {
 // source. Cardinality feedback stores rows here; the adaptive planner also
 // stores per-input-row output ratios under derived "|out" shapes.
 func (s *Stats) RecordValue(source, shape string, v float64) {
-	key := source + "@" + shape
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.recordLocked(statKey{source, shape}, v)
+}
+
+func (s *Stats) recordLocked(key statKey, v float64) {
 	e := s.entries[key]
 	if e == nil {
 		e = &statEntry{avg: v}
@@ -297,7 +251,7 @@ func (s *Stats) evictLocked() {
 		if back == nil {
 			return
 		}
-		key := back.Value.(string)
+		key := back.Value.(statKey)
 		s.lru.Remove(back)
 		delete(s.entries, key)
 		s.evicted++
@@ -326,18 +280,19 @@ func (s *Stats) Entries() int {
 func (s *Stats) Estimate(source, shape string) (float64, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	e, ok := s.entries[source+"@"+shape]
+	e, ok := s.entries[statKey{source, shape}]
 	if !ok || e.queries == 0 {
 		return 0, false
 	}
 	return e.avg, true
 }
 
-// Observations returns the number of recorded queries for the shape.
+// Observations returns how many values were folded into the shape's
+// estimate: one per run that queried it.
 func (s *Stats) Observations(source, shape string) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	e, ok := s.entries[source+"@"+shape]
+	e, ok := s.entries[statKey{source, shape}]
 	if !ok {
 		return 0
 	}
@@ -348,15 +303,15 @@ func (s *Stats) Observations(source, shape string) int {
 func (s *Stats) String() string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	keys := make([]string, 0, len(s.entries))
+	keys := make([]statKey, 0, len(s.entries))
 	for k := range s.entries {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
 	var sb strings.Builder
 	for _, k := range keys {
 		e := s.entries[k]
-		fmt.Fprintf(&sb, "%s: %d queries, avg %.1f rows\n", k, e.queries, e.avg)
+		fmt.Fprintf(&sb, "%s: %d observations, avg %.1f rows\n", k, e.queries, e.avg)
 	}
 	srcKeys := make([]string, 0, len(s.sources))
 	for k := range s.sources {
@@ -365,13 +320,7 @@ func (s *Stats) String() string {
 	sort.Strings(srcKeys)
 	for _, k := range srcKeys {
 		e := s.sources[k]
-		fmt.Fprintf(&sb, "%s: %d exchanges carrying %d queries", k, e.exchanges, e.queries)
-		if e.cacheHits+e.cacheMisses > 0 {
-			fmt.Fprintf(&sb, ", cache %d/%d hits", e.cacheHits, e.cacheHits+e.cacheMisses)
-		}
-		if e.errors > 0 {
-			fmt.Fprintf(&sb, ", %d errors", e.errors)
-		}
+		fmt.Fprintf(&sb, "%s: cache %d/%d hits", k, e.cacheHits, e.cacheHits+e.cacheMisses)
 		if e.latSeen {
 			fmt.Fprintf(&sb, ", lat %s", time.Duration(e.latEWMA*float64(time.Second)).Round(time.Microsecond))
 		}

@@ -90,26 +90,55 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sum.Add(ns)
 	// min is stored as ns+1 so 0 can mean "unset" (a genuine 0ns
 	// observation stores 1).
-	for {
-		cur := h.min.Load()
-		if cur != 0 && cur <= ns+1 {
-			break
-		}
-		if h.min.CompareAndSwap(cur, ns+1) {
-			break
-		}
-	}
-	for {
-		cur := h.max.Load()
-		if ns <= cur {
-			break
-		}
-		if h.max.CompareAndSwap(cur, ns) {
-			break
-		}
-	}
+	h.extend(ns+1, ns)
 	i := sort.Search(len(bucketBounds), func(i int) bool { return ns <= bucketBounds[i] })
 	h.buckets[i].Add(1)
+}
+
+// extend lowers min to minTag (a min as stored: +1, 0 = unset) and
+// raises max to max.
+func (h *Histogram) extend(minTag, max int64) {
+	for cur := h.min.Load(); minTag != 0 && (cur == 0 || minTag < cur); cur = h.min.Load() {
+		if h.min.CompareAndSwap(cur, minTag) {
+			break
+		}
+	}
+	for cur := h.max.Load(); max > cur; cur = h.max.Load() {
+		if h.max.CompareAndSwap(cur, max) {
+			break
+		}
+	}
+}
+
+// Mean returns the average observation, or 0 with no observations.
+func (h *Histogram) Mean() time.Duration {
+	if h == nil {
+		return 0
+	}
+	n := h.count.Load()
+	if n == 0 {
+		return 0
+	}
+	return time.Duration(h.sum.Load() / n)
+}
+
+// Merge adds o's observations to h, as if each had been observed on h.
+func (h *Histogram) Merge(o *Histogram) {
+	if h == nil || o == nil {
+		return
+	}
+	n := o.count.Load()
+	if n == 0 {
+		return
+	}
+	h.count.Add(n)
+	h.sum.Add(o.sum.Load())
+	h.extend(o.min.Load(), o.max.Load())
+	for i := range o.buckets {
+		if b := o.buckets[i].Load(); b != 0 {
+			h.buckets[i].Add(b)
+		}
+	}
 }
 
 // Snapshot copies the histogram's counters. Reads are not atomic as a

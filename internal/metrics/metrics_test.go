@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -56,6 +57,33 @@ func TestHistogram(t *testing.T) {
 	}
 	if m := s.Mean(); m <= 0 {
 		t.Fatalf("Mean = %s, want > 0", m)
+	}
+}
+
+// TestHistogramMerge: merging two histograms equals observing both
+// series on one.
+func TestHistogramMerge(t *testing.T) {
+	a, b, both := &Histogram{}, &Histogram{}, &Histogram{}
+	for _, d := range []time.Duration{300 * time.Microsecond, 7 * time.Millisecond} {
+		a.Observe(d)
+		both.Observe(d)
+	}
+	for _, d := range []time.Duration{50 * time.Microsecond, 2 * time.Second} {
+		b.Observe(d)
+		both.Observe(d)
+	}
+	a.Merge(b)
+	a.Merge(&Histogram{}) // empty: no change
+	if got, want := a.Mean(), a.Snapshot().Mean(); got != want || got == 0 {
+		t.Fatalf("Mean = %s, snapshot mean %s", got, want)
+	}
+	if got, want := a.Snapshot(), both.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged %+v, want %+v", got, want)
+	}
+	empty := &Histogram{}
+	empty.Merge(b)
+	if got, want := empty.Snapshot(), b.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("merge into empty %+v, want %+v", got, want)
 	}
 }
 

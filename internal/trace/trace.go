@@ -4,17 +4,20 @@
 // datamerge graph (rows in/out, source exchanges, cache traffic, wall
 // time), and per-source exchange latency histograms.
 //
-// The engine populates node and source records through atomic counters,
-// so the parallel executor's workers merge their observations race-free;
-// phases are contiguous segments sharing boundary timestamps, so phase
-// durations sum exactly to the trace's total. Every recording
-// method is nil-receiver-safe: instrumented code paths call them
-// unconditionally and an untraced query pays only a nil check.
+// The engine keeps its own record of each run and fills a traced run's
+// node and source traffic from it once, when the run ends; rows, wall
+// time and morsel counts arrive as operators complete, through atomic
+// counters, so parallel workers update one record race-free. Phases are
+// contiguous segments sharing boundary timestamps, so phase durations
+// sum exactly to the trace's total. Every recording method is
+// nil-receiver-safe: instrumented code paths call them unconditionally
+// and an untraced query pays only a nil check.
 //
 // Attribution across layers flows through contexts: the engine attaches
-// the active node/source records to each exchange's context
-// (WithExchangeObs), and the wrapper-level answer cache — which cannot
-// see the engine — reports hits and misses to them via CacheEvent.
+// the record of the operator an exchange runs for to the exchange's
+// context (WithCacheObserver), and the wrapper-level answer cache —
+// which cannot see the engine — reports hits and misses to it via
+// CacheEvent.
 package trace
 
 import (
@@ -257,14 +260,17 @@ func (n *NodeStats) AddCall(in, out int, d time.Duration, sample string) {
 	n.sample.Store(&sample)
 }
 
-// AddExchanges records source round-trips issued by this operator:
-// exchanges network round-trips carrying queries instantiated queries.
-func (n *NodeStats) AddExchanges(exchanges, queries int) {
+// AddTraffic records source traffic issued by this operator: exchanges
+// network round-trips carrying queries instantiated queries, and the
+// answer-cache lookups they made.
+func (n *NodeStats) AddTraffic(exchanges, queries, cacheHits, cacheMisses int64) {
 	if n == nil {
 		return
 	}
-	n.exchanges.Add(int64(exchanges))
-	n.queries.Add(int64(queries))
+	n.exchanges.Add(exchanges)
+	n.queries.Add(queries)
+	n.cacheHits.Add(cacheHits)
+	n.cacheMisses.Add(cacheMisses)
 }
 
 // AddMorsels records one morsel-parallel pass over the operator's input:
@@ -285,35 +291,6 @@ func (n *NodeStats) AddMorsels(morsels, workers int) {
 	}
 }
 
-// CacheAccess records one answer-cache lookup outcome attributed to this
-// operator.
-func (n *NodeStats) CacheAccess(hit bool) {
-	if n == nil {
-		return
-	}
-	if hit {
-		n.cacheHits.Add(1)
-	} else {
-		n.cacheMisses.Add(1)
-	}
-}
-
-// RowsOut returns the rows the operator has produced so far.
-func (n *NodeStats) RowsOut() int64 {
-	if n == nil {
-		return 0
-	}
-	return n.rowsOut.Load()
-}
-
-// RowsIn returns the rows the operator has consumed so far.
-func (n *NodeStats) RowsIn() int64 {
-	if n == nil {
-		return 0
-	}
-	return n.rowsIn.Load()
-}
-
 // SourceStats aggregates one source's traffic across the whole query.
 type SourceStats struct {
 	name        string
@@ -324,27 +301,18 @@ type SourceStats struct {
 	latency     *metrics.Histogram
 }
 
-// AddExchange records one source round-trip carrying queries instantiated
-// queries, observed at latency d.
-func (s *SourceStats) AddExchange(queries int, d time.Duration) {
+// AddTraffic records source traffic: exchanges round-trips carrying
+// queries instantiated queries, their answer-cache lookups, and the
+// exchanges' latencies.
+func (s *SourceStats) AddTraffic(exchanges, queries, cacheHits, cacheMisses int64, latency *metrics.Histogram) {
 	if s == nil {
 		return
 	}
-	s.exchanges.Add(1)
-	s.queries.Add(int64(queries))
-	s.latency.Observe(d)
-}
-
-// CacheAccess records one answer-cache lookup outcome against the source.
-func (s *SourceStats) CacheAccess(hit bool) {
-	if s == nil {
-		return
-	}
-	if hit {
-		s.cacheHits.Add(1)
-	} else {
-		s.cacheMisses.Add(1)
-	}
+	s.exchanges.Add(exchanges)
+	s.queries.Add(queries)
+	s.cacheHits.Add(cacheHits)
+	s.cacheMisses.Add(cacheMisses)
+	s.latency.Merge(latency)
 }
 
 // --- context attribution -------------------------------------------------
@@ -370,32 +338,25 @@ func FromContext(ctx context.Context) *QueryTrace {
 
 type obsKey struct{}
 
-// exchangeObs identifies the operator and source on whose behalf a source
-// exchange runs, so layers below the engine attribute events to them.
-type exchangeObs struct {
-	node   *NodeStats
-	source *SourceStats
+// CacheObserver receives the answer-cache lookups made on behalf of one
+// source exchange.
+type CacheObserver interface {
+	CacheAccess(hit bool)
 }
 
-// WithExchangeObs returns ctx carrying the node/source records the
-// current exchange should be attributed to.
-func WithExchangeObs(ctx context.Context, node *NodeStats, source *SourceStats) context.Context {
-	if node == nil && source == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, obsKey{}, exchangeObs{node: node, source: source})
+// WithCacheObserver returns ctx carrying obs, the observer the current
+// exchange's cache lookups are attributed to.
+func WithCacheObserver(ctx context.Context, obs CacheObserver) context.Context {
+	return context.WithValue(ctx, obsKey{}, obs)
 }
 
-// CacheEvent reports one answer-cache lookup outcome to the records the
-// context attributes exchanges to; without attribution it is a no-op.
-// The wrapper-level cache calls this on every lookup.
+// CacheEvent reports one answer-cache lookup outcome to the observer the
+// context attributes exchanges to; without one it is a no-op. The
+// wrapper-level cache calls this on every lookup.
 func CacheEvent(ctx context.Context, hit bool) {
-	obs, ok := ctx.Value(obsKey{}).(exchangeObs)
-	if !ok {
-		return
+	if obs, ok := ctx.Value(obsKey{}).(CacheObserver); ok {
+		obs.CacheAccess(hit)
 	}
-	obs.node.CacheAccess(hit)
-	obs.source.CacheAccess(hit)
 }
 
 // --- snapshots -----------------------------------------------------------

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 	"unicode/utf8"
+
+	"medmaker/internal/metrics"
 )
 
 func TestPhasesPartitionTotal(t *testing.T) {
@@ -62,12 +64,11 @@ func TestNodeAndSourceRecords(t *testing.T) {
 	leaf.SetEstimate(12.5)
 
 	leaf.AddCall(0, 7, 3*time.Millisecond, "")
-	leaf.AddExchanges(2, 5)
-	leaf.CacheAccess(true)
-	leaf.CacheAccess(false)
+	leaf.AddTraffic(2, 5, 1, 1)
 	src := qt.Source("cs")
-	src.AddExchange(5, 2*time.Millisecond)
-	src.CacheAccess(true)
+	lat := &metrics.Histogram{}
+	lat.Observe(2 * time.Millisecond)
+	src.AddTraffic(1, 5, 1, 0, lat)
 	qt.End()
 
 	s := qt.Snapshot()
@@ -103,9 +104,10 @@ func TestConcurrentNodeRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				n.AddCall(1, 2, time.Microsecond, "")
-				n.AddExchanges(1, 1)
-				src.AddExchange(1, time.Microsecond)
-				src.CacheAccess(i%2 == 0)
+				n.AddTraffic(1, 1, 0, 0)
+				lat := &metrics.Histogram{}
+				lat.Observe(time.Microsecond)
+				src.AddTraffic(1, 1, int64(i%2), int64(1-i%2), lat)
 			}
 		}()
 	}
@@ -115,7 +117,7 @@ func TestConcurrentNodeRecording(t *testing.T) {
 	if s.Nodes[0].Calls != 4000 || s.Nodes[0].RowsOut != 8000 || s.Nodes[0].Exchanges != 4000 {
 		t.Fatalf("node = %+v", s.Nodes[0])
 	}
-	if s.Sources[0].Exchanges != 4000 || s.Sources[0].CacheHits != 2000 || s.Sources[0].CacheMisses != 2000 {
+	if s.Sources[0].Exchanges != 4000 || s.Sources[0].CacheHits != 2000 || s.Sources[0].CacheMisses != 2000 || s.Sources[0].Latency.Count != 4000 {
 		t.Fatalf("source = %+v", s.Sources[0])
 	}
 }
@@ -133,39 +135,42 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 		t.Fatal("nil trace returned a node")
 	}
 	n.AddCall(1, 1, time.Second, "")
-	n.AddExchanges(1, 1)
-	n.CacheAccess(true)
+	n.AddTraffic(1, 1, 1, 0)
 	n.SetKids(nil)
 	n.SetEstimate(1)
-	if n.RowsOut() != 0 {
-		t.Fatal("nil node has rows")
-	}
 	s := qt.Source("cs")
 	if s != nil {
 		t.Fatal("nil trace returned a source")
 	}
-	s.AddExchange(1, time.Second)
-	s.CacheAccess(false)
+	s.AddTraffic(1, 1, 0, 1, &metrics.Histogram{})
 	if snap := qt.Snapshot(); len(snap.Nodes) != 0 {
 		t.Fatalf("nil snapshot = %+v", snap)
 	}
 }
 
+// countingObserver counts the cache lookups attributed to it.
+type countingObserver struct{ hits, misses int }
+
+func (c *countingObserver) CacheAccess(hit bool) {
+	if hit {
+		c.hits++
+	} else {
+		c.misses++
+	}
+}
+
 func TestContextAttribution(t *testing.T) {
-	qt := New("q")
-	n := qt.NewNode("query(cs)", "cs", "")
-	src := qt.Source("cs")
-	ctx := WithExchangeObs(context.Background(), n, src)
+	obs := &countingObserver{}
+	ctx := WithCacheObserver(context.Background(), obs)
 	CacheEvent(ctx, true)
 	CacheEvent(ctx, false)
 	CacheEvent(context.Background(), true) // unattributed: dropped
-	qt.End()
-	s := qt.Snapshot()
-	if s.Nodes[0].CacheHits != 1 || s.Nodes[0].CacheMisses != 1 {
-		t.Fatalf("node cache = %+v", s.Nodes[0])
-	}
-	if s.Sources[0].CacheHits != 1 || s.Sources[0].CacheMisses != 1 {
-		t.Fatalf("source cache = %+v", s.Sources[0])
+	// The nearest observer wins: an exchange made inside another
+	// exchange's context is attributed to its own operator.
+	inner := &countingObserver{}
+	CacheEvent(WithCacheObserver(ctx, inner), true)
+	if obs.hits != 1 || obs.misses != 1 || inner.hits != 1 {
+		t.Fatalf("outer %+v, inner %+v", obs, inner)
 	}
 }
 
@@ -193,8 +198,10 @@ func TestRenderAndJSON(t *testing.T) {
 	root.SetKids([]*NodeStats{leaf})
 	leaf.SetEstimate(3)
 	leaf.AddCall(0, 3, time.Millisecond, "")
-	leaf.AddExchanges(1, 1)
-	qt.Source("cs").AddExchange(1, time.Millisecond)
+	leaf.AddTraffic(1, 1, 0, 0)
+	lat := &metrics.Histogram{}
+	lat.Observe(time.Millisecond)
+	qt.Source("cs").AddTraffic(1, 1, 0, 0, lat)
 	qt.End()
 
 	var sb strings.Builder
@@ -316,7 +323,7 @@ func TestMisestimateFlagInSnapshotAndRender(t *testing.T) {
 	normalized := qt.NewNode("query", "src", "parameterized")
 	normalized.SetEstimate(2)
 	normalized.AddCall(0, 20, time.Millisecond, "")
-	normalized.AddExchanges(1, 10)
+	normalized.AddTraffic(1, 10, 0, 0)
 
 	qt.End()
 	s := qt.Snapshot()

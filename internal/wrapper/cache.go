@@ -25,9 +25,6 @@ type CacheOptions struct {
 	// TTL expires entries that age beyond it; an expired entry counts as
 	// a miss and is refreshed from the source. 0 means no expiry.
 	TTL time.Duration
-	// Recorder, when set, observes every lookup — the mediator wires it
-	// to the statistics store so cache hit rates feed the cost model.
-	Recorder func(source string, hit bool)
 	// Clock overrides the time source for TTL checks (tests); nil means
 	// time.Now.
 	Clock func() time.Time
@@ -57,7 +54,6 @@ type Cache struct {
 	inner Source
 	max   int
 	ttl   time.Duration
-	rec   func(source string, hit bool)
 	now   func() time.Time
 
 	mu        sync.Mutex
@@ -107,7 +103,6 @@ func NewCache(src Source, opts CacheOptions) *Cache {
 		inner:   src,
 		max:     max,
 		ttl:     opts.TTL,
-		rec:     opts.Recorder,
 		now:     now,
 		lru:     list.New(),
 		entries: make(map[string]*list.Element),
@@ -202,7 +197,6 @@ func (c *Cache) lookupOrJoin(key string) (objs []*oem.Object, hit bool, f *fligh
 	objs, hit = c.lookupLocked(key)
 	if hit {
 		c.mu.Unlock()
-		c.record(true)
 		return objs, true, nil, false
 	}
 	f, ok := c.inflight[key]
@@ -215,7 +209,6 @@ func (c *Cache) lookupOrJoin(key string) (objs []*oem.Object, hit bool, f *fligh
 		leader = true
 	}
 	c.mu.Unlock()
-	c.record(false)
 	return nil, false, f, leader
 }
 
@@ -305,10 +298,10 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Expired: c.expired, Entries: c.lru.Len()}
 }
 
-// lookupCtx is lookup plus trace attribution: when ctx carries the
-// engine's per-exchange observers (a traced run), the access is also
-// recorded on the owning query node and source, so a trace's cache
-// counts equal the cache's own counters exactly.
+// lookupCtx is lookup plus attribution: when ctx carries the engine's
+// per-exchange observer, the access is also recorded on the run's record
+// of the query node that made it, so a run's cache counts equal the
+// cache's own counters exactly.
 func (c *Cache) lookupCtx(ctx context.Context, key string) ([]*oem.Object, bool) {
 	objs, ok := c.lookup(key)
 	trace.CacheEvent(ctx, ok)
@@ -322,12 +315,11 @@ func (c *Cache) lookup(key string) ([]*oem.Object, bool) {
 	c.mu.Lock()
 	objs, ok := c.lookupLocked(key)
 	c.mu.Unlock()
-	c.record(ok)
 	return objs, ok
 }
 
 // lookupLocked is the entry consultation under c.mu: TTL check, recency
-// refresh, hit/miss counting. Callers invoke c.record outside the lock.
+// refresh, hit/miss counting.
 func (c *Cache) lookupLocked(key string) ([]*oem.Object, bool) {
 	if el, ok := c.entries[key]; ok {
 		e := el.Value.(*cacheEntry)
@@ -363,11 +355,5 @@ func (c *Cache) store(key string, objs []*oem.Object) {
 		c.lru.Remove(oldest)
 		delete(c.entries, oldest.Value.(*cacheEntry).key)
 		c.evictions++
-	}
-}
-
-func (c *Cache) record(hit bool) {
-	if c.rec != nil {
-		c.rec(c.inner.Name(), hit)
 	}
 }

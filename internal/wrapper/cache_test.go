@@ -326,30 +326,6 @@ func (f *flakySource) Query(q *msl.Rule) ([]*oem.Object, error) {
 	return Eval(q, whoisTops(), oem.NewIDGen("f"))
 }
 
-func TestCacheRecorder(t *testing.T) {
-	type obs struct {
-		source string
-		hit    bool
-	}
-	var seen []obs
-	inner := &fakeSource{name: "whois"}
-	c := NewCache(inner, CacheOptions{Recorder: func(source string, hit bool) {
-		seen = append(seen, obs{source, hit})
-	}})
-	q := nameQuery("Joe Chung")
-	c.Query(q)
-	c.Query(q)
-	want := []obs{{"whois", false}, {"whois", true}}
-	if len(seen) != len(want) {
-		t.Fatalf("recorder saw %d lookups, want %d", len(seen), len(want))
-	}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Fatalf("lookup %d = %+v, want %+v", i, seen[i], want[i])
-		}
-	}
-}
-
 // batchingSource counts batch exchanges to verify the cache forwards
 // misses in one exchange.
 type batchingSource struct {

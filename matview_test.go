@@ -179,10 +179,9 @@ func TestMatViewWarmHitZeroExchanges(t *testing.T) {
 			if len(cold) == 0 {
 				t.Fatal("cold query returned nothing")
 			}
-			stats := med.QueryStats()
-			exBefore := map[string]int{}
+			exBefore := map[string]int64{}
 			for _, src := range med.Sources() {
-				exBefore[src] = stats.SourceExchanges(src)
+				exBefore[src] = sourceExchanges(src)
 			}
 
 			res, qt, err := med.QueryTraced(context.Background(), q)
@@ -200,7 +199,7 @@ func TestMatViewWarmHitZeroExchanges(t *testing.T) {
 				t.Fatalf("warm hit recorded source traffic: %+v", snap.Sources)
 			}
 			for _, src := range med.Sources() {
-				if got := stats.SourceExchanges(src); got != exBefore[src] {
+				if got := sourceExchanges(src); got != exBefore[src] {
 					t.Fatalf("source %s exchanged during a warm hit: %d -> %d", src, exBefore[src], got)
 				}
 			}

@@ -243,8 +243,10 @@ type Config struct {
 	Pipeline bool
 	// Cache, when non-nil, puts an LRU answer cache in front of every
 	// source, keyed by normalized query text, with the given size and TTL.
-	// Hit rates feed the optimizer's cost model through the statistics
-	// store. Use Mediator.InvalidateCaches when a source changes.
+	// Each query's cache hits and misses reach the statistics store with
+	// the rest of what the query observed, when it ends, and feed the
+	// optimizer's cost model. Use Mediator.InvalidateCaches when a source
+	// changes.
 	Cache *CacheOptions
 	// PlanCache, when non-nil, caches compiled query plans (the expanded
 	// program plus the physical datamerge graph) in a bounded LRU keyed by
@@ -501,15 +503,7 @@ func (m *Mediator) AddSource(src Source) {
 		notifier.OnChange(m.applyDelta)
 	}
 	if m.cacheCfg != nil {
-		opts := *m.cacheCfg
-		user := opts.Recorder
-		opts.Recorder = func(source string, hit bool) {
-			m.stats.RecordCache(source, hit)
-			if user != nil {
-				user(source, hit)
-			}
-		}
-		cache := wrapper.NewCache(src, opts)
+		cache := wrapper.NewCache(src, *m.cacheCfg)
 		m.cacheMu.Lock()
 		m.caches = append(m.caches, cache)
 		m.cacheMu.Unlock()

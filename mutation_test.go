@@ -383,7 +383,7 @@ func TestDeltaRecordsNoSourceStatistics(t *testing.T) {
 	stats := med.QueryStats()
 	obs := stats.Observations("whois", "person")
 	est, _ := stats.Estimate("whois", "person")
-	exchanges := stats.SourceExchanges("whois")
+	exchanges := sourceExchanges("whois")
 	latency, _ := stats.SourceLatency("whois")
 	if obs == 0 || exchanges == 0 {
 		t.Fatalf("the build recorded nothing for whois: %d observations, %d exchanges", obs, exchanges)
@@ -406,7 +406,7 @@ func TestDeltaRecordsNoSourceStatistics(t *testing.T) {
 	if got, _ := stats.Estimate("whois", "person"); got != est {
 		t.Errorf("whois@person estimate: %.2f -> %.2f", est, got)
 	}
-	if got := stats.SourceExchanges("whois"); got != exchanges {
+	if got := sourceExchanges("whois"); got != exchanges {
 		t.Errorf("whois exchanges: %d -> %d", exchanges, got)
 	}
 	if got, _ := stats.SourceLatency("whois"); got != latency {

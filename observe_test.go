@@ -10,8 +10,8 @@ import (
 
 // runTracedQ1 builds a fresh cached mediator in the given mode and
 // answers the paper's Q1 with tracing on. A fresh mediator per run keeps
-// the statistics store and the caches scoped to exactly this query, so
-// the trace's counts must equal theirs.
+// the caches scoped to exactly this query, so the trace's cache counts
+// must equal theirs.
 func runTracedQ1(t *testing.T, mode execMode) (*Mediator, *QueryResult, trace.Summary) {
 	t.Helper()
 	cs, whois := newPaperSources(t)
@@ -37,11 +37,11 @@ func runTracedQ1(t *testing.T, mode execMode) (*Mediator, *QueryResult, trace.Su
 	return med, res, qt.Snapshot()
 }
 
-// TestTraceAgreesWithEngineCounters is the observability differential:
-// in every execution mode, the structured trace must agree exactly with
-// the independently-maintained engine statistics store and cache
-// counters — same exchanges, same queries, same cache traffic — and its
-// phase segments must partition the total wall time.
+// TestTraceAgreesWithEngineCounters: in every execution mode, the
+// structured trace's cache traffic equals the answer caches' own
+// counters, every exchange has a latency observation, the graph has one
+// root producing the answer, and the phase segments partition the total
+// wall time.
 func TestTraceAgreesWithEngineCounters(t *testing.T) {
 	var firstObjects []string
 	var firstRoot int64
@@ -72,20 +72,10 @@ func TestTraceAgreesWithEngineCounters(t *testing.T) {
 				}
 			}
 
-			// Per-source exchange and query counts equal the engine's
-			// statistics store, which is updated at the same call sites by
-			// independent code.
-			stats := med.QueryStats()
 			if len(snap.Sources) == 0 {
 				t.Fatal("trace recorded no sources")
 			}
 			for _, src := range snap.Sources {
-				if got := int64(stats.SourceExchanges(src.Name)); src.Exchanges != got {
-					t.Errorf("%s: trace exchanges %d, stats store %d", src.Name, src.Exchanges, got)
-				}
-				if got := int64(stats.SourceQueries(src.Name)); src.Queries != got {
-					t.Errorf("%s: trace queries %d, stats store %d", src.Name, src.Queries, got)
-				}
 				// Every exchange has a latency observation.
 				if src.Latency.Count != src.Exchanges {
 					t.Errorf("%s: %d latency observations for %d exchanges",
@@ -215,6 +205,7 @@ func TestExplainRemainsStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	e0, _ := engineTraffic()
 	out, err := med.Explain(`JC :- JC:<cs_person {<name 'Joe Chung'>}>@med.`)
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +213,7 @@ func TestExplainRemainsStatic(t *testing.T) {
 	if !strings.Contains(out, "physical datamerge graph") {
 		t.Errorf("Explain output lacks the physical graph:\n%s", out)
 	}
-	if n := med.QueryStats().TotalExchanges(); n != 0 {
-		t.Errorf("Explain performed %d source exchanges, want 0", n)
+	if e1, _ := engineTraffic(); e1 != e0 {
+		t.Errorf("Explain performed %d source exchanges, want 0", e1-e0)
 	}
 }
