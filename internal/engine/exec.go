@@ -15,13 +15,15 @@ import (
 )
 
 // Executor runs physical datamerge graphs bottom-up. It carries the
-// environment a graph needs: the source registry, the external-function
-// table, an id generator for result objects, an optional trace recorder,
-// and the statistics store the cost-based optimizer learns from (Section
-// 3.5: "builds its own statistics database that is based on results of
-// previous queries").
+// environment a graph needs: the source registry, the in-memory extents
+// it scans, the external-function table, an id generator for result
+// objects, an optional trace recorder, and the statistics store the
+// cost-based optimizer learns from (Section 3.5: "builds its own
+// statistics database that is based on results of previous queries").
 type Executor struct {
 	Sources *wrapper.Registry
+	// Extents binds the extents the graph's MatScanNodes read, by name.
+	Extents Extents
 	Extfn   *extfn.Table
 	IDGen   *oem.IDGen
 	// Stats, when non-nil, learns from every run: answer sizes per query

@@ -232,9 +232,14 @@ func (n *QueryNode) runBatched(rs *runState, op *opRecord, src wrapper.Source, i
 	if err != nil {
 		return nil, err
 	}
-	// Extraction over the fetched answers is pure CPU — pattern matching
-	// under each input row — so it fans out morsel-parallel; chunks
-	// concatenate in morsel order, preserving the serial output exactly.
+	return n.extractRows(rs, in, of, answers)
+}
+
+// extractRows extracts from answers[of[i]] under each input row i. It is
+// pure CPU — pattern matching under each row — so it fans out
+// morsel-parallel; chunks concatenate in morsel order, preserving the
+// serial output exactly.
+func (n *QueryNode) extractRows(rs *runState, in *Table, of []int, answers [][]*oem.Object) (*Table, error) {
 	out := n.outTable(in)
 	chunks := make([]*Table, rs.ex.morselCount(in.Len()))
 	if err := rs.runMorsels(n, in.Len(), func(m, lo, hi int) error {

@@ -70,8 +70,9 @@ func TestProbeDedupKeysOnTheTuple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ex.Extents = Extents{"echo": extent}
 	qn := node()
-	for _, n := range []Node{&qn, &MatScanNode{QueryNode: node(), Extent: MatExtent{Source: "echo", View: "v", Objs: extent}}} {
+	for _, n := range []Node{&qn, &MatScanNode{QueryNode: node(), View: "v"}} {
 		out, err := ex.Run(n)
 		if err != nil {
 			t.Fatal(err)

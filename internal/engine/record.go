@@ -57,19 +57,21 @@ type srcRecord struct {
 	latency metrics.Histogram
 }
 
-// initRecord lays out the record for the graph rooted at root and, when
-// qt is non-nil, registers the graph with the trace: nodes in preorder
-// (parents before kids, so parents get lower ids and render first),
-// sources in order of first use.
+// initRecord lays out the record for the graph rooted at root, one slot
+// per operator, and, when qt is non-nil, registers the graph with the
+// trace: nodes in preorder (parents before kids, so parents get lower ids
+// and render first), sources in order of first use.
 func (rs *runState) initRecord(root Node, qt *trace.QueryTrace) {
 	r := &rs.rec
 	r.qt = qt
-	r.ops = make([]opRecord, 0, 8)
-	if root != nil {
-		r.add(root)
-	}
-	for i := range r.ops {
-		if op := &r.ops[i]; op.q != nil {
+	var buf [16]layoutSlot // a plan's graph rarely outgrows it: no allocation
+	layout := appendLayout(buf[:0], root)
+	r.ops = make([]opRecord, len(layout))
+	for i, l := range layout {
+		op := &r.ops[i]
+		op.node, op.end, op.src = l.node, l.end, -1
+		if q, ok := l.node.(*QueryNode); ok {
+			op.q, op.src, op.tkey = q, r.source(q.Source), templateKey(q.Send)
 			op.ctx = trace.WithCacheObserver(rs.ctx, op)
 		}
 	}
@@ -104,19 +106,26 @@ func (rs *runState) initRecord(root Node, qt *trace.QueryTrace) {
 	}
 }
 
-// add appends the slots of n's subtree in preorder.
-func (r *runRecord) add(n Node) {
-	i := len(r.ops)
-	r.ops = append(r.ops, opRecord{node: n, src: -1})
-	if q, ok := n.(*QueryNode); ok {
-		r.ops[i].q, r.ops[i].src, r.ops[i].tkey = q, r.source(q.Source), templateKey(q.Send)
+// layoutSlot is one operator of the graph in preorder and the end of its
+// subtree's slots.
+type layoutSlot struct {
+	node Node
+	end  int
+}
+
+// appendLayout appends the slots of n's subtree in preorder, asking each
+// node for its kids once.
+func appendLayout(dst []layoutSlot, n Node) []layoutSlot {
+	if n == nil {
+		return dst
 	}
+	i := len(dst)
+	dst = append(dst, layoutSlot{node: n})
 	for _, k := range n.Kids() {
-		if k != nil {
-			r.add(k)
-		}
+		dst = appendLayout(dst, k)
 	}
-	r.ops[i].end = len(r.ops)
+	dst[i].end = len(dst)
+	return dst
 }
 
 // source returns the slot of the named source, adding it on first use.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -152,5 +153,43 @@ func TestStatsFoldOncePerRun(t *testing.T) {
 		if sel, ok := ex.Stats.Estimate("count", "r?|out"); !ok || sel != 3 {
 			t.Errorf("batch %d: selectivity %v (%v), want 3", batch, sel, ok)
 		}
+	}
+}
+
+// TestRecordSlotsFitGraph: the run record holds one slot per operator of
+// the graph and no more, so a small graph pays for a small record.
+func TestRecordSlotsFitGraph(t *testing.T) {
+	root := &DedupNode{Child: countingNode(t, NewTable([]string{"V"}, nil)), Vars: []string{"V"}}
+	rs := newRunState(&Executor{}, context.Background(), root)
+	if n, c := len(rs.rec.ops), cap(rs.rec.ops); n != 3 || c != 3 {
+		t.Errorf("a 3-node graph got %d slots of capacity %d, want exactly 3", n, c)
+	}
+	for i, want := range []int{3, 3, 3} {
+		if end := rs.rec.ops[i].end; end != want {
+			t.Errorf("slot %d ends at %d, want %d", i, end, want)
+		}
+	}
+}
+
+// TestUnboundExtentFails: a MatScanNode resolves its extent per run, and
+// a run that binds nothing under its name fails instead of answering
+// empty; an empty extent that is bound answers empty.
+func TestUnboundExtentFails(t *testing.T) {
+	conj := pc(t, `<r V>@view`)
+	scan := &MatScanNode{QueryNode: QueryNode{
+		Source:  "view",
+		Send:    msl.MustParseRule(`O :- O:<r V>@view.`),
+		Extract: conj.Pattern,
+		Needed:  []string{"V"},
+	}, View: "view"}
+	for _, ex := range []*Executor{{}, {Extents: Extents{"other": nil}}} {
+		_, err := ex.RunResult(context.Background(), scan)
+		if err == nil || !strings.Contains(err.Error(), `extent "view" is not bound`) {
+			t.Errorf("extents %v: error %v, want the unbound extent named", ex.Extents, err)
+		}
+	}
+	out, err := (&Executor{Extents: Extents{"view": nil}}).Run(scan)
+	if err != nil || out.Len() != 0 {
+		t.Errorf("empty bound extent: %v rows, %v; want 0 rows", out, err)
 	}
 }

@@ -208,7 +208,8 @@ func TestExtractionMatchesTopsProject(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkRows(t, what+" per row", got, reference(in.Envs()))
-			scan := &MatScanNode{QueryNode: node(&tableNode{in}), Extent: MatExtent{Source: "whois", View: "v", Objs: objs}}
+			scan := &MatScanNode{QueryNode: node(&tableNode{in}), View: "v"}
+			ex.Extents = Extents{"whois": objs}
 			if got, err = ex.Run(scan); err != nil {
 				t.Fatal(err)
 			}

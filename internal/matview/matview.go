@@ -9,9 +9,11 @@
 // later queries from them when every mediator conjunct of the query is
 // contained in a materialized view head (veao.Covers): the extent then
 // holds all candidate objects, and evaluating the query over it is
-// answer-preserving while performing zero source exchanges. An extent is
-// the slice of objects the build answered, scanned in place by the
-// caller (engine.MatExtent): nothing here indexes or copies them.
+// answer-preserving while performing zero source exchanges. Serving has
+// two steps: Rewrite, the pure covering check, and Serve, which reads,
+// builds and counts. An extent is the slice of objects the build
+// answered, scanned in place by the caller: nothing here indexes or
+// copies them.
 //
 // Freshness is managed per view: a TTL ages extents out, Invalidate
 // drops them by view label or by underlying source name, and a stale
@@ -24,12 +26,12 @@ package matview
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"medmaker/internal/engine"
 	"medmaker/internal/metrics"
 	"medmaker/internal/msl"
 	"medmaker/internal/oem"
@@ -135,13 +137,21 @@ func (o Outcome) String() string {
 	}
 }
 
-// Served is a query rewritten to run over materialized extents: the
-// rewritten rule (mediator conjuncts retargeted to extent source names),
-// the extents it reads (shared with the manager: do not mutate their
-// objects), and the carried-over degradation flag.
+// Rewrite is a query rewritten to read materialized extents: each of its
+// mediator conjuncts retargeted to the extent source of the view
+// covering it. Making one reads, builds and counts nothing.
+type Rewrite struct {
+	Query *msl.Rule
+	// Views are the labels of the covering views, in first-use order.
+	Views []string
+}
+
+// Served is what a hit binds for the rewritten query: the extents it
+// reads and the carried-over degradation flag.
 type Served struct {
-	Query   *msl.Rule
-	Extents []engine.MatExtent
+	// Extents holds each view's objects under its extent source name
+	// (shared with the manager: do not mutate them).
+	Extents map[string][]*oem.Object
 	// Built reports that at least one extent was materialized
 	// synchronously for this query (a cold hit).
 	Built bool
@@ -360,20 +370,13 @@ func (m *Manager) Stats() Stats {
 // a test and shutdown hook.
 func (m *Manager) Wait() { m.wg.Wait() }
 
-// Serve decides whether q can be answered from materialized extents.
-// On Hit the returned Served holds everything the caller needs to plan
-// and execute locally; on Miss or Stale the caller answers live (Stale
-// additionally started a background rebuild). Absent extents of covering
-// views are built synchronously — the cold path — so the first query
-// pays the materialization and later ones enjoy it. An error is
-// returned only for a failed synchronous build; the caller should fall
-// back to live expansion unless the error is the context's own.
-func (m *Manager) Serve(ctx context.Context, q *msl.Rule) (*Served, Outcome, error) {
-	rewritten := q.Clone()
-	var views []*matView
-	seen := map[string]bool{}
-	matched := false
-	for _, c := range rewritten.Tail {
+// Rewrite is the covering check: when every mediator conjunct of q is
+// contained in a configured view head, it returns q rewritten over those
+// views' extents; otherwise nil. It is pure — no extent is read, built or
+// counted — so Explain may call it.
+func (m *Manager) Rewrite(q *msl.Rule) *Rewrite {
+	rw := &Rewrite{Query: q.Clone()}
+	for _, c := range rw.Query.Tail {
 		pc, ok := c.(*msl.PatternConjunct)
 		if !ok {
 			continue // predicates evaluate mediator-side either way
@@ -381,25 +384,39 @@ func (m *Manager) Serve(ctx context.Context, q *msl.Rule) (*Served, Outcome, err
 		if pc.Source != "" && pc.Source != m.mediator {
 			continue // a direct source conjunct passes through unchanged
 		}
-		matched = true
 		v := m.covering(pc.Pattern)
 		if v == nil {
-			m.miss()
-			return nil, Miss, nil
+			return nil
 		}
 		pc.Source = ExtentSource(v.label)
-		if !seen[v.label] {
-			seen[v.label] = true
-			views = append(views, v)
+		if !slices.Contains(rw.Views, v.label) {
+			rw.Views = append(rw.Views, v.label)
 		}
 	}
-	if !matched {
+	if len(rw.Views) == 0 {
+		return nil
+	}
+	return rw
+}
+
+// Serve decides whether rw — Rewrite's result, nil when nothing covers
+// the query — can be answered from fresh extents now, and counts the
+// outcome. On Hit the returned Served binds the extents rw.Query reads;
+// on Miss or Stale the caller answers live (Stale additionally started a
+// background rebuild). Absent extents of covering views are built
+// synchronously — the cold path — so the first query pays the
+// materialization and later ones enjoy it. An error is returned only for
+// a failed synchronous build; the caller should fall back to live
+// expansion unless the error is the context's own.
+func (m *Manager) Serve(ctx context.Context, rw *Rewrite) (*Served, Outcome, error) {
+	if rw == nil {
 		m.miss()
 		return nil, Miss, nil
 	}
-	served := &Served{Query: rewritten}
-	for _, v := range views {
-		ext, fresh, built, err := m.ensure(ctx, v)
+	served := &Served{Extents: make(map[string][]*oem.Object, len(rw.Views))}
+	for _, label := range rw.Views {
+		v := m.views[label]
+		objs, incomplete, fresh, built, err := m.ensure(ctx, v)
 		if err != nil {
 			m.miss()
 			return nil, Miss, err
@@ -413,10 +430,8 @@ func (m *Manager) Serve(ctx context.Context, q *msl.Rule) (*Served, Outcome, err
 			return nil, Stale, nil
 		}
 		served.Built = served.Built || built
-		served.Incomplete = served.Incomplete || ext.incomplete
-		served.Extents = append(served.Extents, engine.MatExtent{
-			Source: ExtentSource(v.label), View: v.label, Objs: ext.objs,
-		})
+		served.Incomplete = served.Incomplete || incomplete
+		served.Extents[ExtentSource(v.label)] = objs
 	}
 	m.hits.Add(1)
 	m.reg.Counter("matview.hits").Inc()
@@ -437,26 +452,21 @@ func (m *Manager) covering(p *msl.ObjectPattern) *matView {
 	return v
 }
 
-// extentState is a consistent read of one view's extent.
-type extentState struct {
-	objs       []*oem.Object
-	incomplete bool
-}
-
-// ensure returns v's extent, building it synchronously when absent.
+// ensure returns a consistent read of v's extent and its incomplete
+// flag, building it synchronously when absent.
 // fresh=false reports a present-but-expired extent (the caller decides
 // what to do; ensure does not rebuild it). built=true reports that this
 // call performed the synchronous build. A fresh extent that is stuck
 // Incomplete additionally triggers a bounded background re-refresh, so
 // recovered sources eventually clear the degradation (satisfying queries
 // meanwhile keep being served, conservatively flagged Incomplete).
-func (m *Manager) ensure(ctx context.Context, v *matView) (st extentState, fresh, built bool, err error) {
+func (m *Manager) ensure(ctx context.Context, v *matView) (objs []*oem.Object, incomplete, fresh, built bool, err error) {
 	v.mu.Lock()
 	if !v.builtAt.IsZero() {
-		st = extentState{objs: v.objs, incomplete: v.incomplete}
+		objs, incomplete = v.objs, v.incomplete
 		now := m.now()
 		fresh = !v.expiredLocked(now)
-		retry := fresh && st.incomplete && m.recover >= 0 &&
+		retry := fresh && incomplete && m.recover >= 0 &&
 			(v.lastRecover.IsZero() || now.Sub(v.lastRecover) >= m.recover)
 		if retry {
 			v.lastRecover = now
@@ -466,17 +476,15 @@ func (m *Manager) ensure(ctx context.Context, v *matView) (st extentState, fresh
 			m.reg.Counter("matview.recover").Inc()
 			m.refreshAsync(v)
 		}
-		return st, fresh, false, nil
+		return objs, incomplete, fresh, false, nil
 	}
 	v.mu.Unlock()
 	if err := m.rebuild(ctx, v); err != nil {
-		return extentState{}, false, false, err
+		return nil, false, false, false, err
 	}
 	v.mu.Lock()
-	st = extentState{objs: v.objs, incomplete: v.incomplete}
-	fresh = !v.expiredLocked(m.now())
-	v.mu.Unlock()
-	return st, fresh, true, nil
+	defer v.mu.Unlock()
+	return v.objs, v.incomplete, !v.expiredLocked(m.now()), true, nil
 }
 
 // expiredLocked reports TTL expiry or explicit invalidation; v.mu held.

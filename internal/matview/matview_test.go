@@ -92,7 +92,8 @@ func TestServeHitAfterColdBuild(t *testing.T) {
 		fakeBuild(&calls, []*oem.Object{person(gen, "joe")}, nil))
 
 	q := mustQuery(t, `N :- <cs_person {<name N>}>@med.`)
-	sv, out, err := m.Serve(context.Background(), q)
+	rw := m.Rewrite(q)
+	sv, out, err := m.Serve(context.Background(), rw)
 	if err != nil || out != Hit {
 		t.Fatalf("cold serve = %v, %v", out, err)
 	}
@@ -102,20 +103,20 @@ func TestServeHitAfterColdBuild(t *testing.T) {
 	if calls.Load() != 1 {
 		t.Fatalf("builds = %d, want 1", calls.Load())
 	}
-	if len(sv.Extents) != 1 {
+	if len(sv.Extents) != 1 || len(sv.Extents[ExtentSource("cs_person")]) != 1 {
 		t.Fatalf("extents = %+v", sv.Extents)
 	}
-	if ext := sv.Extents[0]; ext.Source != ExtentSource("cs_person") || ext.View != "cs_person" || len(ext.Objs) != 1 {
-		t.Fatalf("extent = %+v", ext)
+	if views := rw.Views; len(views) != 1 || views[0] != "cs_person" {
+		t.Fatalf("views = %v", views)
 	}
 	// The rewritten query must target the extent source.
-	pc := sv.Query.Tail[0].(*msl.PatternConjunct)
+	pc := rw.Query.Tail[0].(*msl.PatternConjunct)
 	if pc.Source != ExtentSource("cs_person") {
 		t.Fatalf("rewritten source = %q", pc.Source)
 	}
 
 	// Warm: same extent, no new build, not Built.
-	sv, out, err = m.Serve(context.Background(), q)
+	sv, out, err = m.Serve(context.Background(), m.Rewrite(q))
 	if err != nil || out != Hit || sv.Built {
 		t.Fatalf("warm serve = %v built=%v err=%v", out, sv.Built, err)
 	}
@@ -140,7 +141,7 @@ func TestServeMisses(t *testing.T) {
 		{"no mediator conjunct", `N :- <person {<name N>}>@cs.`},
 	}
 	for _, c := range cases {
-		if _, out, err := m.Serve(context.Background(), mustQuery(t, c.q)); err != nil || out != Miss {
+		if _, out, err := m.Serve(context.Background(), m.Rewrite(mustQuery(t, c.q))); err != nil || out != Miss {
 			t.Fatalf("%s: serve = %v, %v, want Miss", c.name, out, err)
 		}
 	}
@@ -161,12 +162,12 @@ func TestServeNarrowedPattern(t *testing.T) {
 
 	// Narrower than the view: contained, a hit.
 	q := mustQuery(t, `N :- <cs_person {<name N> <dept 'CS'>}>@med.`)
-	if _, out, err := m.Serve(context.Background(), q); err != nil || out != Hit {
+	if _, out, err := m.Serve(context.Background(), m.Rewrite(q)); err != nil || out != Hit {
 		t.Fatalf("contained serve = %v, %v", out, err)
 	}
 	// Broader than the view: not contained, a miss.
 	q = mustQuery(t, `N :- <cs_person {<name N>}>@med.`)
-	if _, out, err := m.Serve(context.Background(), q); err != nil || out != Miss {
+	if _, out, err := m.Serve(context.Background(), m.Rewrite(q)); err != nil || out != Miss {
 		t.Fatalf("uncontained serve = %v, %v", out, err)
 	}
 }
@@ -183,20 +184,20 @@ func TestTTLExpiryGoesStaleThenRecovers(t *testing.T) {
 	}, fakeBuild(&calls, []*oem.Object{person(gen, "joe")}, nil))
 
 	q := mustQuery(t, `N :- <cs_person {<name N>}>@med.`)
-	if _, out, _ := m.Serve(context.Background(), q); out != Hit {
+	if _, out, _ := m.Serve(context.Background(), m.Rewrite(q)); out != Hit {
 		t.Fatalf("cold serve = %v", out)
 	}
 	mu.Lock()
 	now = now.Add(2 * time.Minute)
 	mu.Unlock()
-	if _, out, _ := m.Serve(context.Background(), q); out != Stale {
+	if _, out, _ := m.Serve(context.Background(), m.Rewrite(q)); out != Stale {
 		t.Fatalf("expired serve = %v, want Stale", out)
 	}
 	m.Wait() // background rebuild
 	if calls.Load() != 2 {
 		t.Fatalf("builds = %d, want 2 (cold + background)", calls.Load())
 	}
-	if _, out, _ := m.Serve(context.Background(), q); out != Hit {
+	if _, out, _ := m.Serve(context.Background(), m.Rewrite(q)); out != Hit {
 		t.Fatalf("post-refresh serve = %v, want Hit", out)
 	}
 	if s := m.Stats(); s.Stale != 1 || s.Refreshes != 2 {
@@ -251,17 +252,17 @@ func TestInvalidatedServeIsStale(t *testing.T) {
 	m := newTestManager(t, Options{Views: []View{{Label: "cs_person"}}},
 		fakeBuild(&calls, []*oem.Object{person(gen, "joe")}, nil))
 	q := mustQuery(t, `N :- <cs_person {<name N>}>@med.`)
-	if _, out, _ := m.Serve(context.Background(), q); out != Hit {
+	if _, out, _ := m.Serve(context.Background(), m.Rewrite(q)); out != Hit {
 		t.Fatal("cold serve not a hit")
 	}
 	if n := m.Invalidate("cs"); n != 1 {
 		t.Fatalf("Invalidate = %d", n)
 	}
-	if _, out, _ := m.Serve(context.Background(), q); out != Stale {
+	if _, out, _ := m.Serve(context.Background(), m.Rewrite(q)); out != Stale {
 		t.Fatal("invalidated serve not Stale")
 	}
 	m.Wait()
-	if _, out, _ := m.Serve(context.Background(), q); out != Hit {
+	if _, out, _ := m.Serve(context.Background(), m.Rewrite(q)); out != Hit {
 		t.Fatal("refreshed serve not a Hit")
 	}
 }
@@ -275,26 +276,26 @@ func TestBuildFailureFallsBackAndKeepsOldExtent(t *testing.T) {
 
 	// Cold build fails: Miss with an error, no extent.
 	errs.Store(1)
-	if _, out, err := m.Serve(context.Background(), q); err == nil || out != Miss {
+	if _, out, err := m.Serve(context.Background(), m.Rewrite(q)); err == nil || out != Miss {
 		t.Fatalf("failed cold serve = %v, err = %v", out, err)
 	}
 	// Next attempt succeeds.
-	if _, out, err := m.Serve(context.Background(), q); err != nil || out != Hit {
+	if _, out, err := m.Serve(context.Background(), m.Rewrite(q)); err != nil || out != Hit {
 		t.Fatalf("recovery serve = %v, %v", out, err)
 	}
 	// A failed background refresh keeps the (stale) old extent: queries
 	// keep falling back live, then a later refresh heals it.
 	m.Invalidate("")
 	errs.Store(1)
-	if _, out, _ := m.Serve(context.Background(), q); out != Stale {
+	if _, out, _ := m.Serve(context.Background(), m.Rewrite(q)); out != Stale {
 		t.Fatal("invalidated serve not Stale")
 	}
 	m.Wait()
-	if _, out, _ := m.Serve(context.Background(), q); out != Stale {
+	if _, out, _ := m.Serve(context.Background(), m.Rewrite(q)); out != Stale {
 		t.Fatal("serve after failed refresh must stay Stale")
 	}
 	m.Wait()
-	if _, out, _ := m.Serve(context.Background(), q); out != Hit {
+	if _, out, _ := m.Serve(context.Background(), m.Rewrite(q)); out != Hit {
 		t.Fatal("serve after successful retry not a Hit")
 	}
 	if s := m.Stats(); s.RefreshErrors != 2 {
@@ -321,7 +322,7 @@ func TestRebuildSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, outs[i], _ = m.Serve(context.Background(), q)
+			_, outs[i], _ = m.Serve(context.Background(), m.Rewrite(q))
 		}(i)
 	}
 	// Let the herd pile onto the single flight, then release it.
@@ -358,14 +359,14 @@ func TestMetricsRecorded(t *testing.T) {
 
 	hit := mustQuery(t, `N :- <cs_person {<name N>}>@med.`)
 	miss := mustQuery(t, `N :- <whois_person {<name N>}>@med.`)
-	if _, out, err := m.Serve(context.Background(), hit); err != nil || out != Hit {
+	if _, out, err := m.Serve(context.Background(), m.Rewrite(hit)); err != nil || out != Hit {
 		t.Fatalf("serve = %v, %v", out, err)
 	}
-	if _, out, _ := m.Serve(context.Background(), miss); out != Miss {
+	if _, out, _ := m.Serve(context.Background(), m.Rewrite(miss)); out != Miss {
 		t.Fatal("miss query served")
 	}
 	m.Invalidate("")
-	if _, out, _ := m.Serve(context.Background(), hit); out != Stale {
+	if _, out, _ := m.Serve(context.Background(), m.Rewrite(hit)); out != Stale {
 		t.Fatal("invalidated query not stale")
 	}
 	m.Wait()

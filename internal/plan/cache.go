@@ -8,7 +8,6 @@ import (
 
 	"medmaker/internal/metrics"
 	"medmaker/internal/msl"
-	"medmaker/internal/veao"
 	"medmaker/internal/wrapper"
 )
 
@@ -35,16 +34,13 @@ type CacheStats struct {
 	Hits, Misses, Evictions, Invalidated, Refreshed, Entries int
 }
 
-// Compiled is one cached compilation: the physical plan, the expanded
-// logical program it came from, and the names the plan depends on for
-// invalidation purposes.
+// Compiled is one cached compilation: the physical plan and the names it
+// depends on for invalidation purposes.
 type Compiled struct {
 	// Plan is the physical datamerge graph. Plans are immutable operator
 	// descriptions — all execution state lives in the engine's per-run
 	// state — so one cached plan serves any number of concurrent queries.
 	Plan *Plan
-	// Program is the expanded logical program the plan was built from.
-	Program *veao.Program
 	// Deps are the names whose invalidation must drop this plan: the
 	// source names the expanded program reads plus the mediator view
 	// labels the original query referenced.

@@ -95,15 +95,36 @@ func DefaultOptions() Options {
 // external-function table.
 type Planner struct {
 	sources *wrapper.Registry
+	extents map[string]Extent
 	extfns  *extfn.Table
 	stats   *engine.Stats
 	opts    Options
 	fresh   int
 }
 
+// Extent describes an in-memory extent to the planner. The plan names
+// it; the objects are bound per run (engine.Executor.Extents).
+type Extent struct {
+	// View names the extent in plans: "matscan(View)".
+	View string
+	// Size is the extent's object count when the plan is built: the
+	// cardinality estimate of a conjunct on it. A plan stays correct
+	// whatever the extent holds when it runs.
+	Size int
+}
+
 // New returns a planner. stats may be nil (no learned ordering).
 func New(sources *wrapper.Registry, extfns *extfn.Table, stats *engine.Stats, opts Options) *Planner {
 	return &Planner{sources: sources, extfns: extfns, stats: stats, opts: opts}
+}
+
+// Over makes the planner treat the named sources as in-memory extents:
+// a conjunct on one becomes a MatScanNode, evaluated with every query
+// capability and no exchange. An extent shadows a registered source of
+// the same name.
+func (p *Planner) Over(extents map[string]Extent) *Planner {
+	p.extents = extents
+	return p
 }
 
 // Plan is a physical datamerge graph for a whole logical program: one
@@ -146,7 +167,7 @@ func (p *Planner) BuildContext(ctx context.Context, prog *veao.Program) (*Plan, 
 	} else {
 		plan.Root = &engine.UnionNode{Inputs: plan.RuleRoots}
 	}
-	if hasSemanticOIDs(prog) {
+	if HasSemanticOIDs(prog.Rules) {
 		plan.Root = &engine.FuseNode{Child: plan.Root}
 	}
 	if p.opts.DupElim {
@@ -156,13 +177,13 @@ func (p *Planner) BuildContext(ctx context.Context, prog *veao.Program) (*Plan, 
 	return plan, nil
 }
 
-// hasSemanticOIDs reports whether any rule head derives object identities
+// HasSemanticOIDs reports whether any rule head derives object identities
 // from skolem terms — MedMaker's semantic object-ids — in which case
 // result objects sharing an id are fused into one. Constant or
 // variable-carried oids do not trigger fusion: they fix identity without
 // asserting that same-id derivations denote one entity.
-func hasSemanticOIDs(prog *veao.Program) bool {
-	for _, r := range prog.Rules {
+func HasSemanticOIDs(rules []*msl.Rule) bool {
+	for _, r := range rules {
 		for _, h := range r.Head {
 			op, ok := h.(*msl.ObjectPattern)
 			if !ok {
@@ -425,6 +446,9 @@ func (p *Planner) estimate(pc *msl.PatternConjunct) (float64, bool) {
 	}
 	if label == "*" {
 		return 0, false
+	}
+	if ext, ok := p.extents[pc.Source]; ok {
+		return float64(ext.Size), true
 	}
 	if src, ok := p.sources.Lookup(pc.Source); ok {
 		if counter, can := src.(wrapper.Counter); can {

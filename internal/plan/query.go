@@ -13,8 +13,8 @@ import (
 // evaluate and parameterizing on the variables bound so far), while the
 // extraction step always re-matches the full original pattern, keeping the
 // plan correct whatever was pushed. A conjunct on an in-memory extent
-// (engine.MatExtent) becomes a MatScanNode: the same query, scanned in
-// place with no exchange.
+// (see Over) becomes a MatScanNode: the same query, scanned in place with
+// no exchange.
 func (p *Planner) queryNode(pc *msl.PatternConjunct, child engine.Node, bound map[string]bool, needed map[string]bool) (engine.Node, error) {
 	sent, paramVars, err := p.sendPattern(pc, bound, child != nil)
 	if err != nil {
@@ -72,12 +72,11 @@ func (p *Planner) queryNode(pc *msl.PatternConjunct, child engine.Node, bound ma
 			node.HasEst = true
 		}
 	}
-	src, _ := p.sources.Lookup(pc.Source)
-	if ext, ok := src.(engine.MatExtent); ok {
+	if ext, ok := p.extents[pc.Source]; ok {
 		if !node.HasEst {
-			node.EstRows, node.HasEst = float64(len(ext.Objs)), true
+			node.EstRows, node.HasEst = float64(ext.Size), true
 		}
-		return &engine.MatScanNode{QueryNode: *node, Extent: ext}, nil
+		return &engine.MatScanNode{QueryNode: *node, View: ext.View}, nil
 	}
 	return node, nil
 }
@@ -89,11 +88,14 @@ func (p *Planner) queryNode(pc *msl.PatternConjunct, child engine.Node, bound ma
 // applies only then, and only when the source evaluates conditions at
 // all: a parameter becomes a constant condition at the source).
 func (p *Planner) sendPattern(pc *msl.PatternConjunct, bound map[string]bool, inner bool) (*msl.ObjectPattern, []string, error) {
-	src, ok := p.sources.Lookup(pc.Source)
-	if !ok {
-		return nil, nil, fmt.Errorf("plan: unknown source %q in %s", pc.Source, pc)
+	caps := wrapper.FullCapabilities() // an in-memory extent evaluates everything
+	if _, ok := p.extents[pc.Source]; !ok {
+		src, ok := p.sources.Lookup(pc.Source)
+		if !ok {
+			return nil, nil, fmt.Errorf("plan: unknown source %q in %s", pc.Source, pc)
+		}
+		caps = src.Capabilities()
 	}
-	caps := src.Capabilities()
 	sent := pc.Pattern
 	if !p.opts.PushConditions {
 		sent = relax(sent, wrapper.Capabilities{MultiPattern: caps.MultiPattern})

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"strings"
 
-	"medmaker/internal/engine"
+	"medmaker/internal/matview"
 	"medmaker/internal/msl"
 	"medmaker/internal/plan"
 	"medmaker/internal/trace"
@@ -32,62 +32,49 @@ func (m *Mediator) Plan(q *Rule) (*plan.Plan, *veao.Program, error) {
 }
 
 // PlanContext is Plan bounded by ctx, which covers both expansion and
-// per-rule plan construction.
+// per-rule plan construction. It plans q itself, live, whatever strategy
+// Query would pick for it (see Explain).
 func (m *Mediator) PlanContext(ctx context.Context, q *Rule) (*plan.Plan, *veao.Program, error) {
-	return m.planPhased(ctx, q, nil)
-}
-
-// planPhased is PlanContext with the expansion and planning steps
-// reported as trace phases; qt may be nil.
-func (m *Mediator) planPhased(ctx context.Context, q *Rule, qt *trace.QueryTrace) (*plan.Plan, *veao.Program, error) {
-	qt.Phase(trace.PhaseExpand)
-	logical, err := m.ExpandContext(ctx, q)
-	if err != nil {
-		return nil, nil, err
-	}
-	qt.Phase(trace.PhasePlan)
-	planner := plan.New(m.sources, m.extfns, m.stats, m.planOpts)
-	physical, err := planner.BuildContext(ctx, logical)
-	if err != nil {
-		return nil, nil, err
-	}
-	return physical, logical, nil
+	return m.compilePlan(ctx, &step{rule: q, expand: true}, nil)
 }
 
 // Explain returns a human-readable account of how the mediator would
-// answer the MSL query text: the logical datamerge program and the
-// physical datamerge graph. For a query Query answers through the fused
-// view, these belong to the view's fetch, followed by the rewritten
-// query and its plan over the view.
+// answer the MSL query text: the strategy Query picks and, for each plan
+// it runs, the logical datamerge program (or the query over extents) and
+// the physical datamerge graph. A query a materialized view covers shows
+// the scan of the view's extent; one answered through the fused view
+// shows the view's fetch, then the query's plan over the view. Explain
+// queries no source and builds, reads and counts no extent.
 func (m *Mediator) Explain(q string) (string, error) {
 	rule, err := msl.ParseQuery(q)
 	if err != nil {
 		return "", err
 	}
 	var sb strings.Builder
-	var rewritten *Rule
-	if m.needsFusedView(rule) {
+	s := m.strategyFor(rule)
+	steps := []*step{s.rule}
+	switch {
+	case s.matview != nil:
+		fmt.Fprintf(&sb, "-- note: Query answers this from the materialized extent of %s while it is fresh,\n", strings.Join(s.matview.Views, ", "))
+		sb.WriteString("-- and live otherwise; a cold extent is built first.\n")
+		steps = []*step{matviewStep(s.matview, &matview.Served{})}
+	case s.fetch != nil:
 		sb.WriteString("-- note: Query answers this over the whole view (semantic oids, a negated view\n")
 		sb.WriteString("-- condition or a view rest predicate): plan 1 fetches it, plan 2 scans it as " + fusedViewSource + ".\n")
-		rule, rewritten = m.fusedViewRules(rule)
+		steps = []*step{s.fetch, s.rule}
 	}
-	physical, logical, err := m.Plan(rule)
-	if err != nil {
-		return "", err
-	}
-	sb.WriteString("-- logical datamerge program --\n")
-	sb.WriteString(logical.String())
-	sb.WriteString("-- physical datamerge graph --\n")
-	physical.Print(&sb)
-	if rewritten != nil {
-		root, err := m.planOver(context.Background(), []*msl.Rule{rewritten},
-			engine.MatExtent{Source: fusedViewSource, View: fusedViewSource})
+	for _, st := range steps {
+		physical, logical, err := m.compilePlan(context.Background(), st, nil)
 		if err != nil {
 			return "", err
 		}
-		fmt.Fprintf(&sb, "-- query over the view --\n%s\n", rewritten)
+		if st.expand {
+			sb.WriteString("-- logical datamerge program --\n" + logical.String())
+		} else {
+			fmt.Fprintf(&sb, "-- query over the view --\n%s\n", st.rule)
+		}
 		sb.WriteString("-- physical datamerge graph --\n")
-		engine.PrintGraph(&sb, root)
+		physical.Print(&sb)
 	}
 	return sb.String(), nil
 }

@@ -2,90 +2,97 @@ package medmaker
 
 import (
 	"context"
+	"errors"
 
 	"medmaker/internal/engine"
 	"medmaker/internal/metrics"
 	"medmaker/internal/msl"
+	"medmaker/internal/plan"
 	"medmaker/internal/wrapper"
 )
 
 // buildView materializes one view extent for the matview manager by
-// answering its fetch query through the live pipeline (untraced: the
+// answering its fetch query through the live strategy (untraced: the
 // build's exchanges belong to no particular query).
 func (m *Mediator) buildView(ctx context.Context, fetch *Rule) ([]*Object, bool, error) {
-	res, err := m.queryLive(ctx, fetch, m.policy, nil)
+	res, err := m.run(ctx, m.liveStrategy(fetch), m.policy, nil)
 	if err != nil {
 		return nil, false, err
 	}
 	return res.Objects, res.Incomplete, nil
 }
 
+// errNoDelta reports a view specification the delta rule is not sound
+// for (see deltaRules).
+var errNoDelta = errors.New("medmaker: view is not delta-evaluable")
+
 // buildViewDelta evaluates the incremental effect of an insert into
 // source on one materialized view — the delta rule of semi-naive
-// evaluation. The view's fetch query is expanded as usual; rules not
-// reading source are dropped (the insert cannot change their answers);
-// the surviving rules are planned and executed with source replaced by an
-// in-memory extent of only the inserted objects, every other source live.
-// The extent is scanned in place, so delta evaluation records nothing
-// about source in the statistics store. The sources have already been
-// mutated, so "new data ⋈ old data" and "new data ⋈ new data"
-// derivations both surface, and the result is exactly the set of view
-// objects the insert adds (up to structural duplicates, which the
-// matview manager filters against the extent).
+// evaluation. Its plan is the view's fetch query expanded as usual, minus
+// the rules not reading source (the insert cannot change their answers),
+// with source read as an in-memory extent that each run binds to the
+// inserted objects, every other source live. The plan is data-independent,
+// so with Config.PlanCache it compiles once per (view, source); the
+// extent is scanned in place, so nothing about source reaches the
+// statistics store. The sources have already been mutated, so "new ⋈
+// old" and "new ⋈ new" derivations both surface, and the result is
+// exactly the set of view objects the insert adds (up to structural
+// duplicates, which the matview manager filters against the extent).
 //
-// ok=false reports a specification shape the delta rule is not sound
-// for, making the manager fall back to a full rebuild: fused (skolem)
-// specs, rules that survive expansion with mediator self-references,
-// negated conjuncts (non-monotone: an insert can retract answers), and
-// rules reading source more than once (one extent substitution would
-// miss new⋈old combinations on the other occurrence).
+// ok=false reports a specification the delta rule is not sound for —
+// fused (skolem) specs and the rule shapes deltaRules rejects — making
+// the manager fall back to a full rebuild.
 func (m *Mediator) buildViewDelta(ctx context.Context, fetch *Rule, source string, inserted []*Object) ([]*Object, bool, bool, error) {
 	if m.fused {
 		return nil, false, false, nil
 	}
-	logical, err := m.ExpandContext(ctx, fetch)
+	st := &step{rule: fetch, expand: true, delta: source, keyPrefix: deltaKeyPrefix + source + " ",
+		extents: map[string]plan.Extent{source: {View: source, Size: len(inserted)}}}
+	physical, err := m.planFor(ctx, st, nil)
+	if errors.Is(err, errNoDelta) {
+		return nil, false, false, nil
+	}
 	if err != nil {
 		return nil, false, false, err
 	}
+	res, err := m.execute(ctx, physical.Root, engine.Extents{source: inserted}, m.policy, nil)
+	if err != nil {
+		return nil, false, false, err
+	}
+	return res.Objects, res.Incomplete, true, nil
+}
+
+// deltaRules keeps the expanded rules that read source, for the delta
+// rule of an insert into it; none means the insert cannot add view
+// objects, and the empty program is the correct delta. It fails with
+// errNoDelta for rules that survive expansion with mediator
+// self-references, negated conjuncts (non-monotone: an insert can retract
+// answers), and rules reading source more than once (one extent
+// substitution would miss new⋈old combinations on the other occurrence).
+func (m *Mediator) deltaRules(rules []*msl.Rule, source string) ([]*msl.Rule, error) {
 	var delta []*msl.Rule
-	for _, r := range logical.Rules {
+	for _, r := range rules {
 		reads := 0
 		for _, c := range r.Tail {
 			pc, ok := c.(*msl.PatternConjunct)
 			if !ok {
 				continue
 			}
-			if pc.Source == "" || pc.Source == m.name {
-				return nil, false, false, nil // unexpanded self-reference
-			}
-			if pc.Negated {
-				return nil, false, false, nil // non-monotone
+			if pc.Source == "" || pc.Source == m.name || pc.Negated {
+				return nil, errNoDelta
 			}
 			if pc.Source == source {
 				reads++
 			}
 		}
 		if reads > 1 {
-			return nil, false, false, nil // source self-join
+			return nil, errNoDelta
 		}
 		if reads == 1 {
 			delta = append(delta, r)
 		}
 	}
-	if len(delta) == 0 {
-		// No rule reads the mutated source: the insert cannot add view
-		// objects, and an empty delta is the correct answer.
-		return nil, false, true, nil
-	}
-	root, err := m.planOver(ctx, delta, engine.MatExtent{Source: source, View: source, Objs: inserted})
-	if err != nil {
-		return nil, false, false, err
-	}
-	res, err := m.execute(ctx, root, m.policy, nil)
-	if err != nil {
-		return nil, false, false, err
-	}
-	return res.Objects, res.Incomplete, true, nil
+	return delta, nil
 }
 
 // applyDelta reacts to one source mutation reported through a change
@@ -97,13 +104,7 @@ func (m *Mediator) buildViewDelta(ctx context.Context, fetch *Rule, source strin
 // untouched: plans resolve sources by name at execution time and are
 // data-independent.
 func (m *Mediator) applyDelta(d wrapper.Delta) {
-	dropped := 0
-	m.cacheMu.Lock()
-	for _, c := range m.caches {
-		dropped += c.Invalidate(d.Source)
-	}
-	m.cacheMu.Unlock()
-	metrics.Default().Counter("cache.invalidated").Add(int64(dropped))
+	m.dropAnswers(d.Source)
 	if m.matviews != nil {
 		m.matviews.ApplyDelta(context.Background(), d.Source, d.Inserted, d.Deleted)
 	}
@@ -113,14 +114,20 @@ func (m *Mediator) applyDelta(d wrapper.Delta) {
 // InvalidateCaches drops every cached source answer — call it when a
 // source's data is known to have changed and Config.Cache is in use.
 func (m *Mediator) InvalidateCaches() {
+	m.dropAnswers("")
+	m.notifyListeners()
+}
+
+// dropAnswers drops the answer-cache entries of source ("" for every
+// source), counting them under cache.invalidated.
+func (m *Mediator) dropAnswers(source string) {
 	dropped := 0
 	m.cacheMu.Lock()
 	for _, c := range m.caches {
-		dropped += c.Invalidate("")
+		dropped += c.Invalidate(source)
 	}
 	m.cacheMu.Unlock()
 	metrics.Default().Counter("cache.invalidated").Add(int64(dropped))
-	m.notifyListeners()
 }
 
 // Invalidate marks every cached derivation of name — answer caches and
@@ -136,13 +143,7 @@ func (m *Mediator) InvalidateCaches() {
 // refresh replaces them; the next contained query triggers one.
 // Invalidate returns the number of view extents it marked stale.
 func (m *Mediator) Invalidate(name string) int {
-	dropped := 0
-	m.cacheMu.Lock()
-	for _, c := range m.caches {
-		dropped += c.Invalidate(name)
-	}
-	m.cacheMu.Unlock()
-	metrics.Default().Counter("cache.invalidated").Add(int64(dropped))
+	m.dropAnswers(name)
 	if m.plans != nil {
 		m.plans.Invalidate(name)
 	}

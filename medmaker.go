@@ -377,7 +377,7 @@ func New(cfg Config) (*Mediator, error) {
 		parallel: par,
 		batch:    batch,
 		policy:   cfg.Policy,
-		fused:    specHasSkolems(spec),
+		fused:    plan.HasSemanticOIDs(spec.Rules),
 	}
 	if cfg.Cache != nil {
 		cacheCfg := *cfg.Cache
@@ -457,21 +457,6 @@ func (m *Mediator) Name() string { return m.name }
 // over virtual objects are not supported (query the sources directly).
 func (m *Mediator) Capabilities() Capabilities {
 	return Capabilities{ValueConditions: true, RestConstraints: true, Wildcards: false, MultiPattern: true}
-}
-
-// specHasSkolems reports whether any rule head derives its object-id from
-// a skolem term.
-func specHasSkolems(spec *msl.Program) bool {
-	for _, r := range spec.Rules {
-		for _, h := range r.Head {
-			if op, ok := h.(*msl.ObjectPattern); ok {
-				if _, isSkolem := op.OID.(*msl.Skolem); isSkolem {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }
 
 // AddSource registers or replaces a source at runtime. Mediators serve
