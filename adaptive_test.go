@@ -202,6 +202,91 @@ func TestAdaptiveLearnsBindJoinOrder(t *testing.T) {
 	}
 }
 
+// TestAdaptiveGreedyOrderLongRule: a rule of six pattern conjuncts is
+// longer than the adaptive planner costs exhaustively (five), so it is
+// ordered greedily. Cold, the order is the heuristic's, with the
+// two-condition conjunct outermost; after a traced warmup the conjunct
+// with the smallest learned cardinality (the statistics store's estimate
+// under its label) goes outermost, and the answers equal the heuristic
+// mediator's.
+func TestAdaptiveGreedyOrderLongRule(t *testing.T) {
+	const spec = `<row {<k K> <v V>}> :-
+	    <ra {<k K> <cat 'tools'> <stock 'yes'>}>@sa AND
+	    <rb {<k K>}>@sb AND <rc {<k K>}>@sc AND <rd {<k K>}>@sd AND
+	    <re {<k K> <v V>}>@se AND <rf {<k K>}>@sf.`
+	const query = `X :- X:<row {<k K> <v V>}>@med.`
+	rows := map[string]int{"sa": 60, "sb": 50, "sc": 40, "sd": 30, "se": 3, "sf": 20}
+	mk := func(order OrderMode) *Mediator {
+		var sources []Source
+		for _, name := range []string{"sa", "sb", "sc", "sd", "se", "sf"} {
+			src := NewOEMSource(name)
+			label := "r" + name[1:]
+			for i := 0; i < rows[name]; i++ {
+				kids := []*oem.Object{oem.New("", "k", fmt.Sprintf("k%03d", i*7%60))}
+				switch name {
+				case "sa":
+					kids = append(kids, oem.New("", "cat", "tools"), oem.New("", "stock", "yes"))
+				case "se":
+					kids = append(kids, oem.New("", "v", fmt.Sprintf("v%d", i)))
+				}
+				if err := src.Add(oem.NewSet("", label, kids...)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sources = append(sources, src)
+		}
+		opts := DefaultPlanOptions()
+		opts.Order = order
+		med, err := New(Config{Name: "med", Spec: spec, Sources: sources, Plan: &opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return med
+	}
+	adaptive := mk(OrderAdaptive)
+	cold := planJoinOrder(t, adaptive, query)
+	if len(cold) != 6 || cold[0] != "sa" {
+		t.Fatalf("cold order %v; want the heuristic's sa-outer fallback", cold)
+	}
+	q, err := ParseQuery(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := adaptive.QueryTraced(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+
+	smallest, least := "", 0.0
+	for name := range rows {
+		est, ok := adaptive.QueryStats().Estimate(name, "r"+name[1:])
+		if !ok {
+			t.Fatalf("the warmup taught nothing about %s", name)
+		}
+		if smallest == "" || est < least {
+			smallest, least = name, est
+		}
+	}
+	warm := planJoinOrder(t, adaptive, query)
+	if len(warm) != 6 || warm[0] != smallest {
+		t.Fatalf("warm order %v; want %s (learned estimate %.2f) outermost", warm, smallest, least)
+	}
+
+	want, err := mk(OrderHeuristic).QueryString(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := adaptive.QueryString(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != rows["se"] {
+		t.Fatalf("heuristic answered %d rows, want %d", len(want), rows["se"])
+	}
+	if !reflect.DeepEqual(canonicalize(got), canonicalize(want)) {
+		t.Fatal("greedy reordering changed the answers")
+	}
+}
+
 // TestPlanCacheDriftRevalidation: a plan compiled before any statistics
 // existed is revalidated in the background once execution feedback shows
 // its estimates drifted past DriftRatio, exactly once; the refreshed

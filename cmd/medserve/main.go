@@ -48,7 +48,7 @@ import (
 )
 
 // demoSpec is the paper's MS1 view over the scaled cs/whois population —
-// the same specification medbench measures, so numbers line up.
+// the same specification the bench workloads measure, so numbers line up.
 const demoSpec = `
 <cs_person {<name N> <relation R> Rest1 Rest2}> :-
     <person {<name N> <dept 'CS'> <relation R> | Rest1}>@whois

@@ -242,3 +242,56 @@ func TestBundledSourcesConform(t *testing.T) {
 		wrappertest.Conformance(t, p, mk())
 	})
 }
+
+// TestStreamMatViewAbsorbsAppends: a materialized view over a stream
+// source takes an append burst through the change feed alone — one delta
+// per append, no fallback to a rebuild — and the query after it serves
+// the grown extent with zero source exchanges.
+func TestStreamMatViewAbsorbsAppends(t *testing.T) {
+	const seed, burst = 20, 40
+	person := func(name string) *Object {
+		return oem.NewSet("", "person", oem.New("", "name", name), oem.New("", "dept", "CS"))
+	}
+	stream := NewStreamSource("swipes", StreamOptions{})
+	for i := 0; i < seed; i++ {
+		if err := stream.Append(person(fmt.Sprintf("S%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	med, err := New(Config{
+		Name: "med", Spec: `<view {<name N> | R}> :- <person {<name N> | R}>@swipes.`,
+		Sources:     []Source{stream},
+		Materialize: &MatViewOptions{Views: []MatView{{Label: "view"}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const all = `X :- X:<view {<name N>}>@med.`
+	if _, err := med.QueryString(all); err != nil {
+		t.Fatal(err)
+	}
+	med.WaitMatViews()
+	base := med.MatViewStats()
+	for i := 0; i < burst; i++ {
+		if err := stream.Append(person(fmt.Sprintf("B%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	med.WaitMatViews()
+	st := med.MatViewStats()
+	if d, f, r := st.Deltas-base.Deltas, st.DeltaFallbacks-base.DeltaFallbacks, st.Refreshes-base.Refreshes; d != burst || f != 0 || r != 0 {
+		t.Fatalf("burst of %d appends: %d deltas, %d fallbacks, %d rebuilds; want %d, 0, 0", burst, d, f, r, burst)
+	}
+
+	e0 := sourceExchanges("swipes")
+	objs, err := med.QueryString(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := sourceExchanges("swipes") - e0; e != 0 {
+		t.Fatalf("query after the burst made %d exchanges, want 0", e)
+	}
+	if len(objs) != seed+burst {
+		t.Fatalf("maintained view answers %d objects, want %d", len(objs), seed+burst)
+	}
+}
