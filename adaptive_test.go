@@ -99,6 +99,29 @@ func TestAdaptiveOrderInvariance(t *testing.T) {
 // planJoinOrder lists a plan's query-node sources outermost first.
 func planJoinOrder(t *testing.T, med *Mediator, qText string) []string {
 	t.Helper()
+	var out []string
+	for _, qn := range planQueryNodes(t, med, qText) {
+		out = append(out, qn.Source)
+	}
+	return out
+}
+
+// leafShape returns the statistics key of the unbound query a plan of
+// qText sends to source.
+func leafShape(t *testing.T, med *Mediator, qText, source string) string {
+	t.Helper()
+	for _, qn := range planQueryNodes(t, med, qText) {
+		if qn.Source == source && qn.Child == nil {
+			return qn.Shape
+		}
+	}
+	t.Fatalf("no plan of %s fetches from %s unbound", qText, source)
+	return ""
+}
+
+// planQueryNodes lists a plan's query nodes outermost first.
+func planQueryNodes(t *testing.T, med *Mediator, qText string) []*engine.QueryNode {
+	t.Helper()
 	q, err := ParseQuery(qText)
 	if err != nil {
 		t.Fatal(err)
@@ -107,14 +130,14 @@ func planJoinOrder(t *testing.T, med *Mediator, qText string) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []string
+	var out []*engine.QueryNode
 	var walk func(engine.Node)
 	walk = func(n engine.Node) {
 		for _, k := range n.Kids() {
 			walk(k)
 		}
 		if qn, ok := n.(*engine.QueryNode); ok {
-			out = append(out, qn.Source)
+			out = append(out, qn)
 		}
 	}
 	walk(physical.Root)
@@ -204,11 +227,13 @@ func TestAdaptiveLearnsBindJoinOrder(t *testing.T) {
 
 // TestAdaptiveGreedyOrderLongRule: a rule of six pattern conjuncts is
 // longer than the adaptive planner costs exhaustively (five), so it is
-// ordered greedily. Cold, the order is the heuristic's, with the
-// two-condition conjunct outermost; after a traced warmup the conjunct
-// with the smallest learned cardinality (the statistics store's estimate
-// under its label) goes outermost, and the answers equal the heuristic
-// mediator's.
+// ordered greedily. Cold, the store knows nothing and the order is the
+// heuristic's, with the two-condition conjunct outermost. The warmup
+// fetches that conjunct unbound and probes the other five with K bound,
+// so the store then knows sa's fetch size (60) and only per-probe sizes
+// of the rest; their fetches are priced by counting their labels, and
+// the smallest fetch, se's 3 objects, goes outermost. The answers equal
+// the heuristic mediator's.
 func TestAdaptiveGreedyOrderLongRule(t *testing.T) {
 	const spec = `<row {<k K> <v V>}> :-
 	    <ra {<k K> <cat 'tools'> <stock 'yes'>}>@sa AND
@@ -248,6 +273,7 @@ func TestAdaptiveGreedyOrderLongRule(t *testing.T) {
 	if len(cold) != 6 || cold[0] != "sa" {
 		t.Fatalf("cold order %v; want the heuristic's sa-outer fallback", cold)
 	}
+	saFetch := leafShape(t, adaptive, query, "sa")
 	q, err := ParseQuery(query)
 	if err != nil {
 		t.Fatal(err)
@@ -256,19 +282,12 @@ func TestAdaptiveGreedyOrderLongRule(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	smallest, least := "", 0.0
-	for name := range rows {
-		est, ok := adaptive.QueryStats().Estimate(name, "r"+name[1:])
-		if !ok {
-			t.Fatalf("the warmup taught nothing about %s", name)
-		}
-		if smallest == "" || est < least {
-			smallest, least = name, est
-		}
+	if est, ok := adaptive.QueryStats().Estimate("sa", saFetch); !ok || est != float64(rows["sa"]) {
+		t.Fatalf("the warmup taught sa's fetch size %v (%v), want %d", est, ok, rows["sa"])
 	}
 	warm := planJoinOrder(t, adaptive, query)
-	if len(warm) != 6 || warm[0] != smallest {
-		t.Fatalf("warm order %v; want %s (learned estimate %.2f) outermost", warm, smallest, least)
+	if len(warm) != 6 || warm[0] != "se" {
+		t.Fatalf("warm order %v; want se, the smallest fetch, outermost", warm)
 	}
 
 	want, err := mk(OrderHeuristic).QueryString(query)
@@ -284,6 +303,43 @@ func TestAdaptiveGreedyOrderLongRule(t *testing.T) {
 	}
 	if !reflect.DeepEqual(canonicalize(got), canonicalize(want)) {
 		t.Fatal("greedy reordering changed the answers")
+	}
+}
+
+// TestProbeAnswersDoNotPriceFetches: the store learns a parameterized
+// node's answers per probe under the probe's shape, never as the size of
+// an unbound fetch. sa (10 objects, two conditions) bind-joins to sb
+// (1000 objects, one per key): each probe of sb answers one object, and
+// pricing sb's unbound fetch at that would put the 1000-object fetch
+// outermost. Every run plans sa outermost.
+func TestProbeAnswersDoNotPriceFetches(t *testing.T) {
+	sa, sb := NewOEMSource("sa"), NewOEMSource("sb")
+	for i := 0; i < 1000; i++ {
+		k := oem.New("", "k", fmt.Sprintf("k%04d", i))
+		if i < 10 {
+			if err := sa.Add(oem.NewSet("", "ra", k, oem.New("", "cat", "tools"), oem.New("", "stock", "yes"))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sb.Add(oem.NewSet("", "rb", k.Clone())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := DefaultPlanOptions()
+	opts.Order = OrderAdaptive
+	med, err := New(Config{Name: "med", Sources: []Source{sa, sb}, Plan: &opts,
+		Spec: `<row {<k K>}> :- <ra {<k K> <cat 'tools'> <stock 'yes'>}>@sa AND <rb {<k K>}>@sb.`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const query = `X :- X:<row {<k K>}>@med.`
+	for run := 0; run < 4; run++ {
+		if order := planJoinOrder(t, med, query); !reflect.DeepEqual(order, []string{"sa", "sb"}) {
+			t.Fatalf("run %d plans %v; want [sa sb]", run, order)
+		}
+		if got, err := med.QueryString(query); err != nil || len(got) != 10 {
+			t.Fatalf("run %d: %d answers, %v; want 10", run, len(got), err)
+		}
 	}
 }
 

@@ -6,10 +6,11 @@
 //	         [-matview label[:ttl]] [-explain] [-explain-analyze] [-trace] \
 //	         [-serve addr] [query ...]
 //
-// Each -source is name=path (a textual OEM file) or name=tcp:addr (a
-// remote wrapper started elsewhere, e.g. with -serve). Queries are given
-// as arguments or, when absent, read from stdin one per line (a line must
-// hold a complete rule). With -serve the mediator itself is exposed over
+// Each -source is name=target: a textual OEM, XML, JSON or CSV file, an
+// event log, an HTTP endpoint, or tcp:addr for a remote wrapper started
+// elsewhere, e.g. with -serve (see internal/sourceflag). Queries are
+// given as arguments or, when absent, read from stdin one per line (a
+// line must hold a complete rule). With -serve the mediator itself is exposed over
 // TCP instead of answering local queries.
 package main
 
@@ -24,111 +25,8 @@ import (
 	"time"
 
 	"medmaker"
+	"medmaker/internal/sourceflag"
 )
-
-// openSource resolves one -source target:
-//
-//	name=tcp:host:port          remote wrapper
-//	name=http://host[/path]     JSON-over-HTTP endpoint (https too)
-//	name=data.oem               textual OEM file
-//	name=data.xml               XML document (elements become objects)
-//	name=data.json[:label]      JSON document/array (objects labelled
-//	                            label, default the file's base name)
-//	name=a.csv+b.csv            relational source, one table per CSV file
-//	                            (named by file base name)
-//	name=stream:[seed.oem]      append-only event log, optionally seeded
-//	                            from a textual OEM file
-func openSource(name, target string) (medmaker.Source, func(), error) {
-	if addr, isTCP := strings.CutPrefix(target, "tcp:"); isTCP {
-		client, err := medmaker.DialSource(addr, 10*time.Second)
-		if err != nil {
-			return nil, nil, err
-		}
-		if client.Name() != name {
-			client.Close()
-			return nil, nil, fmt.Errorf("remote source at %s calls itself %q, not %q", addr, client.Name(), name)
-		}
-		return client, func() { client.Close() }, nil
-	}
-	if strings.HasPrefix(target, "http://") || strings.HasPrefix(target, "https://") {
-		src, err := medmaker.NewHTTPSource(name, target)
-		return src, nil, err
-	}
-	if seed, isStream := strings.CutPrefix(target, "stream:"); isStream {
-		src := medmaker.NewStreamSource(name, medmaker.StreamOptions{})
-		if seed != "" {
-			if err := seedStream(src, name, seed); err != nil {
-				return nil, nil, err
-			}
-		}
-		return src, nil, nil
-	}
-	path, label, hasLabel := strings.Cut(target, ":")
-	switch {
-	case strings.HasSuffix(path, ".xml"):
-		src, err := medmaker.NewXMLSourceFromFile(name, path, medmaker.XMLMapping{})
-		return src, nil, err
-	case strings.HasSuffix(path, ".json"):
-		if !hasLabel {
-			label = baseName(path)
-		}
-		src, err := medmaker.NewOEMSourceFromJSONFile(name, label, path)
-		return src, nil, err
-	case strings.HasSuffix(path, ".csv"):
-		db := medmaker.NewRelationalDB()
-		for _, csvPath := range strings.Split(target, "+") {
-			f, err := os.Open(csvPath)
-			if err != nil {
-				return nil, nil, err
-			}
-			err = medmaker.LoadCSV(db, baseName(csvPath), f)
-			f.Close()
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		return medmaker.NewRelationalWrapper(name, db), nil, nil
-	default:
-		src, err := medmaker.NewOEMSourceFromFile(name, target)
-		return src, nil, err
-	}
-}
-
-// seedStream appends the top-level objects of a textual OEM file to the
-// event log.
-func seedStream(src *medmaker.StreamSource, name, path string) error {
-	tmp, err := medmaker.NewOEMSourceFromFile(name, path)
-	if err != nil {
-		return err
-	}
-	for _, o := range tmp.Export() {
-		if err := src.Append(o.Clone()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// baseName strips the directory and extension from a path.
-func baseName(path string) string {
-	base := path
-	if i := strings.LastIndexByte(base, '/'); i >= 0 {
-		base = base[i+1:]
-	}
-	if i := strings.LastIndexByte(base, '.'); i > 0 {
-		base = base[:i]
-	}
-	return base
-}
-
-type sourceFlags []string
-
-func (s *sourceFlags) String() string { return strings.Join(*s, ",") }
-
-func (s *sourceFlags) Set(v string) error {
-	*s = append(*s, v)
-	return nil
-}
 
 // matviewFlags accumulates -matview label[:ttl] values into view specs.
 type matviewFlags []medmaker.MatView
@@ -173,7 +71,7 @@ func main() {
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("medmaker", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var sources sourceFlags
+	var sources sourceflag.List
 	specPath := fs.String("spec", "", "MSL specification file (required)")
 	name := fs.String("name", "med", "mediator name (what queries write after @)")
 	useLorel := fs.Bool("lorel", false, "queries are LOREL ('select … from … where …') instead of MSL")
@@ -183,7 +81,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	serve := fs.String("serve", "", "serve the mediator over TCP on this address instead of answering queries")
 	showStats := fs.Bool("stats", false, "print the learned statistics store after all queries")
 	timeout := fs.Duration("timeout", 0, "per-query deadline (e.g. 5s); 0 means none")
-	fs.Var(&sources, "source", "source as name=path.oem or name=tcp:addr (repeatable)")
+	fs.Var(&sources, "source", sourceflag.Usage)
 	var matviews matviewFlags
 	fs.Var(&matviews, "matview", "materialize a view head as label or label:ttl (repeatable)")
 	if err := fs.Parse(args); err != nil {
@@ -205,20 +103,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if len(matviews) > 0 {
 		cfg.Materialize = &medmaker.MatViewOptions{Views: matviews}
 	}
-	for _, s := range sources {
-		name, target, ok := strings.Cut(s, "=")
-		if !ok {
-			return fmt.Errorf("bad -source %q: want name=path or name=tcp:addr", s)
-		}
-		src, closer, err := openSource(name, target)
-		if err != nil {
-			return err
-		}
-		if closer != nil {
-			defer closer()
-		}
-		cfg.Sources = append(cfg.Sources, src)
+	srcs, closeSources, err := sourceflag.OpenAll(sources)
+	if err != nil {
+		return err
 	}
+	defer closeSources()
+	cfg.Sources = srcs
 
 	med, err := medmaker.New(cfg)
 	if err != nil {

@@ -44,6 +44,7 @@ import (
 	"medmaker/internal/metrics"
 	"medmaker/internal/oem"
 	"medmaker/internal/remote"
+	"medmaker/internal/sourceflag"
 	"medmaker/internal/workload"
 )
 
@@ -83,8 +84,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	gobMaxConns := fs.Int("gob-max-conns", 0, "gob connection bound (0 = default, <0 = unlimited)")
 	specPath := fs.String("spec", "", "MSL specification file; omit to serve the built-in demo population (-persons)")
 	name := fs.String("name", "med", "mediator name (what queries write after @)")
-	var sources sourceFlags
-	fs.Var(&sources, "source", "source as name=path.oem or name=tcp:addr (repeatable, with -spec)")
+	var sources sourceflag.List
+	fs.Var(&sources, "source", sourceflag.Usage+", with -spec")
 	persons := fs.Int("persons", 10000, "demo population size (without -spec)")
 	departments := fs.Int("departments", 4, "demo population departments")
 	planCache := fs.Int("plan-cache", 4096, "plan cache entries (0 disables)")
@@ -101,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
 
-	med, closers, err := buildMediator(buildConfig{
+	med, closeSources, err := buildMediator(buildConfig{
 		Name: *name, SpecPath: *specPath, Sources: sources,
 		Persons: *persons, Departments: *departments,
 		PlanCacheEntries: *planCache, AnswerCache: *answerCache,
@@ -110,11 +111,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		for _, c := range closers {
-			c()
-		}
-	}()
+	defer closeSources()
 
 	reg := metrics.Default()
 	handler := newHandler(med, serveOptions{
@@ -186,8 +183,9 @@ type buildConfig struct {
 
 // buildMediator assembles the shared mediator: either from an MSL spec
 // file plus -source attachments, or (without -spec) the built-in demo — a
-// generated cs/whois staff population under the paper's MS1 view.
-func buildMediator(bc buildConfig) (*medmaker.Mediator, []func(), error) {
+// generated cs/whois staff population under the paper's MS1 view. The
+// returned func closes the attached sources.
+func buildMediator(bc buildConfig) (*medmaker.Mediator, func(), error) {
 	cfg := medmaker.Config{Name: bc.Name, Parallelism: bc.Parallelism}
 	if bc.PlanCacheEntries > 0 {
 		cfg.PlanCache = &medmaker.PlanCacheOptions{MaxEntries: bc.PlanCacheEntries}
@@ -195,7 +193,7 @@ func buildMediator(bc buildConfig) (*medmaker.Mediator, []func(), error) {
 	if bc.AnswerCache {
 		cfg.Cache = &medmaker.CacheOptions{}
 	}
-	var closers []func()
+	closeSources := func() {}
 	if bc.SpecPath == "" {
 		if len(bc.Sources) > 0 {
 			return nil, nil, fmt.Errorf("-source requires -spec")
@@ -221,69 +219,16 @@ func buildMediator(bc buildConfig) (*medmaker.Mediator, []func(), error) {
 			return nil, nil, err
 		}
 		cfg.Spec = string(specText)
-		for _, s := range bc.Sources {
-			srcName, target, ok := strings.Cut(s, "=")
-			if !ok {
-				return nil, nil, fmt.Errorf("bad -source %q: want name=path.oem or name=tcp:addr", s)
-			}
-			src, closer, err := openSource(srcName, target)
-			if err != nil {
-				for _, c := range closers {
-					c()
-				}
-				return nil, nil, err
-			}
-			if closer != nil {
-				closers = append(closers, closer)
-			}
-			cfg.Sources = append(cfg.Sources, src)
+		if cfg.Sources, closeSources, err = sourceflag.OpenAll(bc.Sources); err != nil {
+			return nil, nil, err
 		}
 	}
 	med, err := medmaker.New(cfg)
 	if err != nil {
-		for _, c := range closers {
-			c()
-		}
+		closeSources()
 		return nil, nil, err
 	}
-	return med, closers, nil
-}
-
-// openSource resolves one -source target: name=tcp:addr dials a remote
-// wrapper, name=http(s)://… attaches a JSON-over-HTTP endpoint,
-// name=data.xml maps an XML document, anything else loads a textual OEM
-// file.
-func openSource(name, target string) (medmaker.Source, func(), error) {
-	if addr, isTCP := strings.CutPrefix(target, "tcp:"); isTCP {
-		client, err := medmaker.DialSource(addr, 10*time.Second)
-		if err != nil {
-			return nil, nil, err
-		}
-		if client.Name() != name {
-			client.Close()
-			return nil, nil, fmt.Errorf("remote source at %s calls itself %q, not %q", addr, client.Name(), name)
-		}
-		return client, func() { client.Close() }, nil
-	}
-	if strings.HasPrefix(target, "http://") || strings.HasPrefix(target, "https://") {
-		src, err := medmaker.NewHTTPSource(name, target)
-		return src, nil, err
-	}
-	if strings.HasSuffix(target, ".xml") {
-		src, err := medmaker.NewXMLSourceFromFile(name, target, medmaker.XMLMapping{})
-		return src, nil, err
-	}
-	src, err := medmaker.NewOEMSourceFromFile(name, target)
-	return src, nil, err
-}
-
-type sourceFlags []string
-
-func (s *sourceFlags) String() string { return strings.Join(*s, ",") }
-
-func (s *sourceFlags) Set(v string) error {
-	*s = append(*s, v)
-	return nil
+	return med, closeSources, nil
 }
 
 // gate is the admission controller: MaxInFlight slots for executing

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -15,18 +17,14 @@ import (
 
 func demoHandler(t *testing.T, reg *metrics.Registry, opts serveOptions) (http.Handler, *medmaker.Mediator) {
 	t.Helper()
-	med, closers, err := buildMediator(buildConfig{
+	med, closeSources, err := buildMediator(buildConfig{
 		Name: "med", Persons: 200, Departments: 4,
 		PlanCacheEntries: 256, AnswerCache: true, Parallelism: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		for _, c := range closers {
-			c()
-		}
-	})
+	t.Cleanup(closeSources)
 	opts.Registry = reg
 	return newHandler(med, opts), med
 }
@@ -166,18 +164,14 @@ func TestServeShedsWhenSaturated(t *testing.T) {
 // slot is occupied directly through the gate so queueing is deterministic.
 func TestServeQueuedRunsDegraded(t *testing.T) {
 	reg := metrics.NewRegistry()
-	med, closers, err := buildMediator(buildConfig{
+	med, closeSources, err := buildMediator(buildConfig{
 		Name: "med", Persons: 200, Departments: 4,
 		PlanCacheEntries: 256, AnswerCache: true, Parallelism: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		for _, c := range closers {
-			c()
-		}
-	})
+	t.Cleanup(closeSources)
 	srv := newServer(med, serveOptions{
 		Registry: reg, MaxInFlight: 1, MaxQueue: 8, QueueWait: 10 * time.Second,
 	})
@@ -245,5 +239,45 @@ func TestGateQueueFull(t *testing.T) {
 		t.Fatal("admit after release failed")
 	} else {
 		release2()
+	}
+}
+
+// TestSpecSourceTargets: -source takes the same targets as medmaker's —
+// a JSON file with an object label, CSV tables, an event log seeded from
+// an OEM file — and the mediator answers the paper's query over them.
+func TestSpecSourceTargets(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"med.msl": `
+<cs_person {<name N> <relation R> Rest1 Rest2}> :-
+    <person {<name N> <dept 'CS'> <relation R> | Rest1}>@whois
+    AND <R {<first_name FN> <last_name LN> | Rest2}>@cs
+    AND decomp(N, LN, FN).
+decomp(bound, free, free) by name_to_lnfn.
+decomp(free, bound, bound) by lnfn_to_name.`,
+		"people.json":  `[{"name": "Joe Chung", "dept": "CS", "relation": "employee"}]`,
+		"whois.oem":    `<person, set, {<name, 'Joe Chung'>, <dept, 'CS'>, <relation, 'employee'>}>`,
+		"employee.csv": "first_name,last_name,title\nJoe,Chung,professor\n",
+		"student.csv":  "first_name,last_name,year\nNick,Naive,3\n",
+	}
+	for name, content := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := func(name string) string { return filepath.Join(dir, name) }
+	cs := "cs=" + path("employee.csv") + "+" + path("student.csv")
+	for _, whois := range []string{"whois=" + path("people.json") + ":person", "whois=stream:" + path("whois.oem")} {
+		med, _, err := buildMediator(buildConfig{Name: "med", SpecPath: path("med.msl"), Sources: []string{whois, cs}})
+		if err != nil {
+			t.Fatalf("%s: %v", whois, err)
+		}
+		objs, err := med.QueryString(`JC :- JC:<cs_person {<name 'Joe Chung'>}>@med.`)
+		if err != nil {
+			t.Fatalf("%s: %v", whois, err)
+		}
+		if out := medmaker.FormatOEM(objs...); len(objs) != 1 || !strings.Contains(out, "'professor'") {
+			t.Errorf("%s: answer %s, want Joe Chung the professor", whois, out)
+		}
 	}
 }

@@ -278,14 +278,15 @@ func TestTraceOutput(t *testing.T) {
 func TestStatsRecording(t *testing.T) {
 	ex := testExecutor(t)
 	q := leafQuery(t, "whois", `<person {<name N>}>@whois`, "N")
+	q.Shape = ShapeOf(q.Extract, nil)
 	if _, err := ex.Run(q); err != nil {
 		t.Fatal(err)
 	}
-	est, ok := ex.Stats.Estimate("whois", "person")
+	est, ok := ex.Stats.Estimate("whois", q.Shape)
 	if !ok || est != 2 {
 		t.Fatalf("estimate = %v, %v", est, ok)
 	}
-	if ex.Stats.Observations("whois", "person") != 1 {
+	if ex.Stats.Observations("whois", q.Shape) != 1 {
 		t.Fatal("observations")
 	}
 	if _, ok := ex.Stats.Estimate("whois", "nothing"); ok {

@@ -40,12 +40,12 @@ type Executor struct {
 	// many workers. Sources must then tolerate concurrent queries (all
 	// bundled wrappers do) and external functions must be pure.
 	Parallelism int
-	// QueryBatch > 1 enables parameterized-query batching: a query node
-	// deduplicates its input tuples and ships the distinct instantiated
-	// queries in groups of up to QueryBatch per exchange (one exchange per
-	// query for sources that do not implement wrapper.BatchQuerier),
-	// distributing answers back to the originating rows. 0 or 1 keeps the
-	// paper's one-query-per-tuple behavior.
+	// QueryBatch is the most queries one exchange carries to a source
+	// that answers a batch in one call (wrapper.Batches); any other source
+	// gets one query per exchange. Above 1, a query node sends one query
+	// per distinct instantiation of its input tuples and hands each
+	// answer back to every row that made it; 0 or 1 keeps the paper's
+	// one query per input tuple.
 	QueryBatch int
 	// MorselRows is how many rows of a local operator's input one worker
 	// claims at a time when fanning out morsel-parallel (0 =

@@ -10,15 +10,15 @@ import (
 // predicates, hash-join build and probe, dedup hashing, cross products —
 // split their input table into fixed-size runs of rows ("morsels")
 // executed on a bounded pool of Executor.Parallelism goroutines.
-// Latency-bound fan-outs use morsels of width 1: per-tuple source
-// exchanges, batched exchange chunks, and hash-join partitions. Each
-// morsel produces an independent output chunk; callers concatenate
-// chunks in morsel order, so parallel results are
-// byte-identical to the serial loop, which is the same scheduler with
-// one worker. Workers claim morsels from a shared atomic counter (work
-// stealing by oversubscription: morsels are small, so an uneven morsel
-// costs little tail latency) and poll the run's context between morsels,
-// preserving the engine's prompt-cancellation guarantee.
+// Latency-bound fan-outs make each unit of work a morsel: one source
+// exchange, one hash-join partition. An operator that emits rows does so
+// through fill: each morsel appends to its own chunk, and the chunks
+// concatenate in morsel order, so parallel results are byte-identical to
+// the serial loop, which is the same scheduler with one worker. Workers
+// claim morsels from a shared atomic counter (work stealing by
+// oversubscription: morsels are small, so an uneven morsel costs little
+// tail latency) and poll the run's context between morsels, preserving
+// the engine's prompt-cancellation guarantee.
 
 // DefaultMorselRows is the morsel width when Executor.MorselRows is 0:
 // large enough to amortize scheduling, small enough that typical
@@ -53,40 +53,28 @@ func (rs *runState) runMorsels(n Node, total int, fn func(m, lo, hi int) error) 
 }
 
 // runMorselsWidth is runMorsels with an explicit morsel width. Latency-
-// bound work uses width 1 — each source exchange becomes its own morsel,
-// so four exchanges fan out over four workers instead of sharing one
-// row-sized morsel.
+// bound work makes each exchange its own morsel — width 1, or a batch's
+// worth of queries — so four exchanges fan out over four workers instead
+// of sharing one row-sized morsel.
 func (rs *runState) runMorselsWidth(n Node, total, size int, fn func(m, lo, hi int) error) error {
-	if size < 1 {
-		size = 1
-	}
-	morsels := (total + size - 1) / size
+	width := max(size, 1)
+	morsels := (total + width - 1) / width
 	if morsels == 0 {
 		return rs.cancelled()
 	}
-	workers := rs.ex.parallelism()
-	if workers > morsels {
-		workers = morsels
-	}
+	workers := min(rs.ex.parallelism(), morsels)
 	if rs.rec.qt != nil {
 		if op := rs.rec.op(n); op != nil {
 			op.ts.AddMorsels(morsels, workers)
 		}
-	}
-	clampHi := func(lo int) int {
-		hi := lo + size
-		if hi > total {
-			hi = total
-		}
-		return hi
 	}
 	if workers <= 1 {
 		for m := 0; m < morsels; m++ {
 			if err := rs.cancelled(); err != nil {
 				return err
 			}
-			lo := m * size
-			if err := fn(m, lo, clampHi(lo)); err != nil {
+			lo := m * width
+			if err := fn(m, lo, min(lo+width, total)); err != nil {
 				return err
 			}
 		}
@@ -110,8 +98,8 @@ func (rs *runState) runMorselsWidth(n Node, total, size int, fn func(m, lo, hi i
 				}
 				err := rs.cancelled()
 				if err == nil {
-					lo := m * size
-					err = fn(m, lo, clampHi(lo))
+					lo := m * width
+					err = fn(m, lo, min(lo+width, total))
 				}
 				if err != nil {
 					errs[w], failed[w] = err, m
@@ -135,4 +123,29 @@ func (rs *runState) runMorselsWidth(n Node, total, size int, fn func(m, lo, hi i
 		return err
 	}
 	return errs[first]
+}
+
+// fill runs fn over the morsels of [0, total) and returns out holding the
+// rows fn appended, in morsel order. Each morsel appends to its own chunk
+// of out's schema, and the chunks concatenate once every morsel is done.
+// A lone morsel appends to out itself: no chunk and no copy. fn may
+// reserve room in dst for the rows it is about to append.
+func (rs *runState) fill(n Node, out *Table, total int, fn func(dst *Table, lo, hi int) error) (*Table, error) {
+	var chunks []*Table
+	if m := rs.ex.morselCount(total); m > 1 {
+		chunks = make([]*Table, m)
+	}
+	if err := rs.runMorsels(n, total, func(m, lo, hi int) error {
+		if chunks == nil {
+			return fn(out, lo, hi)
+		}
+		chunks[m] = out.emptyLike(0)
+		return fn(chunks[m], lo, hi)
+	}); err != nil {
+		return nil, err
+	}
+	if chunks == nil {
+		return out, nil
+	}
+	return out.concat(chunks), nil
 }

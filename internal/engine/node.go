@@ -71,8 +71,8 @@ type QueryNode struct {
 	Needed []string
 	// Shape is the condition-aware statistics key for the sent template
 	// (see ShapeOf). The planner sets it so execution feedback lands in
-	// the same bucket planning reads; empty disables shape-keyed
-	// recording (hand-built graphs).
+	// the same bucket planning reads; empty (hand-built graphs) teaches
+	// the statistics store nothing.
 	Shape string
 	// EstRows, when HasEst, is the optimizer's estimated answer
 	// cardinality for this node's template (per instantiated query).
@@ -119,56 +119,34 @@ func (n *QueryNode) run(rs *runState, kids []*Table) (*Table, error) {
 		return nil, fmt.Errorf("engine: unknown source %q", n.Source)
 	}
 	op := rs.rec.op(n)
-	if len(kids) == 0 {
-		in := unitTable()
-		objs, err := n.querySource(rs, op, src, n.Send)
-		if err != nil {
-			return nil, err
-		}
-		out := n.outTable(in)
-		out.reserve(len(objs))
-		return out, n.extract(out, &rowCursor{t: in}, objs)
+	return n.eval(rs, kids, rs.ex.queryBatch() == 1, func(qs []*msl.Rule) ([][]*oem.Object, error) {
+		return n.fetchBatches(rs, op, src, qs)
+	})
+}
+
+// eval is the one body of every query operator: instantiate the template
+// under the input rows (a leaf reads the one-row unit table), fetch an
+// answer per query, and extract each row's output from its query's
+// answer. Only fetch differs between a QueryNode (source exchanges) and a
+// MatScanNode (a scan of its extent). perTuple turns probe deduplication
+// off, so that each row sends its own query, as the paper's
+// parameterized query node does.
+func (n *QueryNode) eval(rs *runState, kids []*Table, perTuple bool, fetch func([]*msl.Rule) ([][]*oem.Object, error)) (*Table, error) {
+	var in *Table
+	if len(kids) == 1 {
+		in = kids[0]
+	} else {
+		in = unitTable()
 	}
-	in := kids[0]
-	if rs.ex.queryBatch() > 1 {
-		return n.runBatched(rs, op, src, in)
-	}
-	var tmpl *msl.Template
-	var slots []int
-	if len(n.ParamVars) > 0 {
-		var err error
-		if tmpl, err = n.template(); err != nil {
-			return nil, err
-		}
-		slots = in.colIndexes(tmpl.Slots())
-	}
-	// One exchange per input tuple: each tuple is its own morsel, so the
-	// exchanges overlap across the workers; per-row chunks concatenate in
-	// input order, so parallel and serial runs agree exactly. A skipped
-	// exchange extracts from an empty answer: a positive pattern yields no
-	// rows, a negated (anti-join) one passes the tuple through — absence
-	// assumed, not verified, which is why querySource records the failure
-	// in the run's SourceErrors.
-	out := n.outTable(in)
-	chunks := make([]*Table, in.Len())
-	if err := rs.runMorselsWidth(n, in.Len(), 1, func(i, _, _ int) error {
-		q := n.Send
-		if tmpl != nil {
-			var err error
-			if q, err = tmpl.Bind(in.appendTuple(make([]oem.Value, 0, len(slots)), i, slots)); err != nil {
-				return err
-			}
-		}
-		objs, err := n.querySource(rs, op, src, q)
-		if err != nil {
-			return err
-		}
-		chunks[i] = out.emptyLike(len(objs))
-		return n.extract(chunks[i], &rowCursor{t: in, i: i}, objs)
-	}); err != nil {
+	qs, of, err := n.instantiate(in, perTuple)
+	if err != nil {
 		return nil, err
 	}
-	return out.concat(chunks), nil
+	answers, err := fetch(qs)
+	if err != nil {
+		return nil, err
+	}
+	return n.extractRows(rs, in, of, answers)
 }
 
 // outTable returns the node's empty output table over input in.
@@ -176,29 +154,13 @@ func (n *QueryNode) outTable(in *Table) *Table {
 	return outTable(n.Needed, in, &msl.PatternConjunct{ObjVar: n.ExtractObjVar, Pattern: n.Extract})
 }
 
-// querySource performs one single-query exchange under the run's context
-// and failure policy. When the policy absorbs a failure (or the source is
-// circuit-broken) the answer is empty, or a composite's surviving union,
-// and the run is marked incomplete. op is n's slot in the run record.
-func (n *QueryNode) querySource(rs *runState, op *opRecord, src wrapper.Source, q *msl.Rule) ([]*oem.Object, error) {
-	if rs.sourceDown(n.Source) {
-		return nil, nil
-	}
-	ctx, cancel := rs.sourceCtx(op)
-	start := time.Now()
-	objs, qerr := wrapper.QueryContext(ctx, src, q)
-	elapsed := time.Since(start)
-	cancel()
-	if keep, err := rs.keepAnswer(n.Source, qerr); !keep {
-		return nil, err
-	}
-	rs.recordExchange(op, 1, len(objs), elapsed)
-	return objs, nil
-}
-
 // extract matches the source's answer against the extraction pattern
 // under the input row and appends the output rows to out: one per match,
 // or for a negated (anti-join) node the row itself when nothing matched.
+// A skipped exchange extracts from an empty answer: a positive pattern
+// yields no rows, a negated one passes the row through — absence
+// assumed, not verified, which is why the run records the failure in its
+// SourceErrors.
 func (n *QueryNode) extract(out *Table, row *rowCursor, objs []*oem.Object) error {
 	matched := false
 	if err := match.TopsEach(n.Extract, n.ExtractObjVar, objs, row, func(m match.Match) {
@@ -215,104 +177,83 @@ func (n *QueryNode) extract(out *Table, row *rowCursor, objs []*oem.Object) erro
 	return nil
 }
 
-// runBatched evaluates the node over the rows of in with input-tuple
-// deduplication and batched source exchanges (the tentpole of Section 3.4
-// done cheaply): rows that instantiate the template identically share one
-// query, the distinct queries ship in groups of up to Executor.QueryBatch
-// per exchange when the source implements wrapper.BatchQuerier (or its
-// context-aware form), and the answers are distributed back to the
-// originating rows in input order, so the output is identical to the
-// per-tuple path against deterministic sources.
-func (n *QueryNode) runBatched(rs *runState, op *opRecord, src wrapper.Source, in *Table) (*Table, error) {
-	qs, of, err := n.instantiate(in)
-	if err != nil {
-		return nil, err
-	}
-	answers, err := n.fetchBatches(rs, op, src, qs)
-	if err != nil {
-		return nil, err
-	}
-	return n.extractRows(rs, in, of, answers)
-}
-
 // extractRows extracts from answers[of[i]] under each input row i. It is
 // pure CPU — pattern matching under each row — so it fans out
-// morsel-parallel; chunks concatenate in morsel order, preserving the
-// serial output exactly.
+// morsel-parallel, presized for the answers it reads.
 func (n *QueryNode) extractRows(rs *runState, in *Table, of []int, answers [][]*oem.Object) (*Table, error) {
-	out := n.outTable(in)
-	chunks := make([]*Table, rs.ex.morselCount(in.Len()))
-	if err := rs.runMorsels(n, in.Len(), func(m, lo, hi int) error {
-		chunk := out.emptyLike(hi - lo)
+	return rs.fill(n, n.outTable(in), in.Len(), func(dst *Table, lo, hi int) error {
+		rows := hi - lo
+		if !n.Negated {
+			rows = 0
+			for i := lo; i < hi; i++ {
+				rows += len(answers[of[i]])
+			}
+		}
+		dst.reserve(rows)
 		row := &rowCursor{t: in}
 		for i := lo; i < hi; i++ {
 			row.i = i
-			if err := n.extract(chunk, row, answers[of[i]]); err != nil {
+			if err := n.extract(dst, row, answers[of[i]]); err != nil {
 				return err
 			}
 		}
-		chunks[m] = chunk
 		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out.concat(chunks), nil
+	})
 }
 
-// fetchBatches ships the distinct queries to the source, up to
-// Executor.QueryBatch per exchange for batch-capable sources and one
-// exchange per query otherwise, applying the run's failure policy to
-// every exchange: a failed exchange's queries answer empty under
-// Skip/Partial instead of aborting the run. Each exchange is one morsel,
-// so independent exchanges run concurrently up to Executor.Parallelism;
-// answers[i] answers qs[i], so exchange completion order never affects
-// the output (extraction replays the input-row order).
+// fetchBatches ships the queries to the source, up to Executor.QueryBatch
+// per exchange for a source that answers a batch in one call
+// (wrapper.Batches) and one per exchange otherwise, applying the run's
+// failure policy to every exchange: a failed exchange's queries answer
+// empty under Skip/Partial instead of aborting the run. Each exchange is
+// one morsel, so independent exchanges run concurrently up to
+// Executor.Parallelism; answers[i] answers qs[i], so exchange completion
+// order never affects the output (extraction replays the input-row
+// order).
 func (n *QueryNode) fetchBatches(rs *runState, op *opRecord, src wrapper.Source, qs []*msl.Rule) ([][]*oem.Object, error) {
-	size := rs.ex.queryBatch()
-	canBatch := wrapper.Batches(src)
+	size := 1
+	if wrapper.Batches(src) {
+		size = rs.ex.queryBatch()
+	}
 	answers := make([][]*oem.Object, len(qs))
-	chunks := (len(qs) + size - 1) / size
-	err := rs.runMorselsWidth(n, chunks, 1, func(c, _, _ int) error {
-		lo, hi := c*size, min((c+1)*size, len(qs))
-		return n.fetchChunk(rs, op, src, qs[lo:hi], answers[lo:hi], canBatch)
+	err := rs.runMorselsWidth(n, len(qs), size, func(_, lo, hi int) error {
+		return n.fetchChunk(rs, op, src, qs[lo:hi], answers[lo:hi])
 	})
 	return answers, err
 }
 
-// fetchChunk performs one exchange's worth of queries, answering qs[i]
-// into out[i]: a single batched exchange for batch-capable sources, one
-// exchange per query otherwise.
-func (n *QueryNode) fetchChunk(rs *runState, op *opRecord, src wrapper.Source, qs []*msl.Rule, out [][]*oem.Object, canBatch bool) error {
-	if canBatch && len(qs) > 1 {
-		if rs.sourceDown(n.Source) {
-			return nil // every answer stays empty
-		}
-		ctx, cancel := rs.sourceCtx(op)
-		batchStart := time.Now()
-		res, qerr := wrapper.QueryBatchContext(ctx, src, qs)
-		elapsed := time.Since(batchStart)
-		cancel()
-		if keep, err := rs.keepAnswer(n.Source, qerr); !keep {
-			return err
-		}
-		if len(res) != len(qs) {
-			return fmt.Errorf("engine: batch query to %s returned %d answers for %d queries", n.Source, len(res), len(qs))
-		}
-		answers := 0
-		for i := range qs {
-			out[i] = res[i]
-			answers += len(res[i])
-		}
-		rs.recordExchange(op, len(qs), answers, elapsed)
-		return nil
+// fetchChunk performs one exchange, answering qs[i] into out[i]: a lone
+// query travels as itself, several as one batch. When the policy absorbs
+// a failure (or the source is circuit-broken) the answers stay empty, or
+// hold a composite's surviving union, and the run is marked incomplete.
+func (n *QueryNode) fetchChunk(rs *runState, op *opRecord, src wrapper.Source, qs []*msl.Rule, out [][]*oem.Object) error {
+	if rs.sourceDown(n.Source) {
+		return nil // every answer stays empty
 	}
-	for i, q := range qs {
-		objs, err := n.querySource(rs, op, src, q)
-		if err != nil {
-			return err
-		}
-		out[i] = objs
+	ctx, cancel := rs.sourceCtx(op)
+	start := time.Now()
+	var qerr error
+	res := out // a lone query answers in place
+	if len(qs) == 1 {
+		res[0], qerr = wrapper.QueryContext(ctx, src, qs[0])
+	} else {
+		res, qerr = wrapper.QueryBatchContext(ctx, src, qs)
 	}
+	elapsed := time.Since(start)
+	cancel()
+	if keep, err := rs.keepAnswer(n.Source, qerr); !keep {
+		clear(out)
+		return err
+	}
+	if len(res) != len(qs) {
+		return fmt.Errorf("engine: batch query to %s returned %d answers for %d queries", n.Source, len(res), len(qs))
+	}
+	answers := 0
+	for i := range qs {
+		out[i] = res[i]
+		answers += len(res[i])
+	}
+	rs.recordExchange(op, len(qs), answers, elapsed)
 	return nil
 }
 
@@ -348,30 +289,24 @@ func (n *ExtPredNode) OutVars() []string { return n.Needed }
 
 func (n *ExtPredNode) run(rs *runState, kids []*Table) (*Table, error) {
 	// Predicate evaluation is per-tuple pure CPU, so rows fan out
-	// morsel-parallel; per-morsel chunks concatenate in order, matching
-	// the serial loop exactly. Each output row is the input row, read in
-	// place, plus the free-variable bindings the predicate adds.
+	// morsel-parallel. Each output row is the input row, read in place,
+	// plus the free-variable bindings the predicate adds.
 	in := kids[0]
 	out := outTable(n.Needed, in, n.Pred)
 	inCols := in.colIndexes(out.vars)
-	chunks := make([]*Table, rs.ex.morselCount(in.Len()))
-	if err := rs.runMorsels(n, in.Len(), func(m, lo, hi int) error {
-		chunk := out.emptyLike(hi - lo)
+	return rs.fill(n, out, in.Len(), func(dst *Table, lo, hi int) error {
+		dst.reserve(hi - lo)
 		row := &rowCursor{t: in}
 		for i := lo; i < hi; i++ {
 			row.i = i
 			if err := rs.ex.Extfn.EvalRow(n.Pred, row, func(ext []extfn.VarBinding) {
-				chunk.appendExtended(in, i, inCols, ext)
+				dst.appendExtended(in, i, inCols, ext)
 			}); err != nil {
 				return err
 			}
 		}
-		chunks[m] = chunk
 		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out.concat(chunks), nil
+	})
 }
 
 // appendExtended appends row i of in, extended by ext and projected onto
@@ -454,13 +389,13 @@ func (n *JoinNode) joinCols(left, right *Table) (outVars []string, outs, overlap
 	return outVars, outs, overlap
 }
 
-// joinEmit appends the merge of left row li and right row ri to chunk,
+// joinEmit appends the merge of left row li and right row ri to dst,
 // unless some variable bound on both sides disagrees. For a variable
 // bound on both sides the row with more bound variables supplies the
 // binding (ties go right) — the precedence match.Env.Join established,
 // which matters when two bindings are Equal but not identical (Int 3
 // joins Float 3.0).
-func joinEmit(chunk, left, right *Table, li, ri int, outs, overlap []joinCol) {
+func joinEmit(dst, left, right *Table, li, ri int, outs, overlap []joinCol) {
 	for _, c := range overlap {
 		lb, rb := left.cols[c.l][li], right.cols[c.r][ri]
 		if !lb.IsZero() && !rb.IsZero() && !lb.Equal(rb) {
@@ -486,9 +421,9 @@ func joinEmit(chunk, left, right *Table, li, ri int, outs, overlap []joinCol) {
 		case c.r >= 0:
 			b = right.cols[c.r][ri]
 		}
-		chunk.cols[i] = append(chunk.cols[i], b)
+		dst.cols[i] = append(dst.cols[i], b)
 	}
-	chunk.n++
+	dst.n++
 }
 
 func (n *JoinNode) run(rs *runState, kids []*Table) (*Table, error) {
@@ -500,9 +435,7 @@ func (n *JoinNode) run(rs *runState, kids []*Table) (*Table, error) {
 		// A cross product multiplies row counts: morsel over the outer
 		// side, and with a big inner side poll cancellation per outer row
 		// — the product of two modest inputs can already be huge.
-		chunks := make([]*Table, rs.ex.morselCount(left.Len()))
-		if err := rs.runMorsels(n, left.Len(), func(m, lo, hi int) error {
-			chunk := out.emptyLike(0)
+		return rs.fill(n, out, left.Len(), func(dst *Table, lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				if right.Len() >= cancelCheckStride {
 					if err := rs.cancelled(); err != nil {
@@ -510,22 +443,18 @@ func (n *JoinNode) run(rs *runState, kids []*Table) (*Table, error) {
 					}
 				}
 				for j := 0; j < right.Len(); j++ {
-					joinEmit(chunk, left, right, i, j, outs, overlap)
+					joinEmit(dst, left, right, i, j, outs, overlap)
 				}
 			}
-			chunks[m] = chunk
 			return nil
-		}); err != nil {
-			return nil, err
-		}
-		return out.concat(chunks), nil
+		})
 	}
 	// Partitioned hash join. Build side = the smaller input. Three
 	// morsel-parallel phases: hash the build rows, partition the buckets
 	// (one worker owns each partition, scanning rows ascending so bucket
-	// order is build-row order), probe. Probe morsels emit independent
-	// chunks concatenated in probe order, and joinEmit re-checks the
-	// bindings, so the output is byte-identical to the serial join.
+	// order is build-row order), probe. Probe morsels emit in probe order,
+	// and joinEmit re-checks the bindings, so the output is byte-identical
+	// to the serial join.
 	hashed, probe := right, left
 	buildRight := true
 	if left.Len() < right.Len() {
@@ -564,25 +493,19 @@ func (n *JoinNode) run(rs *runState, kids []*Table) (*Table, error) {
 	}); err != nil {
 		return nil, err
 	}
-	chunks := make([]*Table, rs.ex.morselCount(probe.Len()))
-	if err := rs.runMorsels(n, probe.Len(), func(m, lo, hi int) error {
-		chunk := out.emptyLike(0)
+	return rs.fill(n, out, probe.Len(), func(dst *Table, lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			h := probe.hashRow(i, sharedP)
 			for _, bi := range parts[h%uint64(nparts)][h] {
 				if buildRight {
-					joinEmit(chunk, left, right, i, int(bi), outs, overlap)
+					joinEmit(dst, left, right, i, int(bi), outs, overlap)
 				} else {
-					joinEmit(chunk, left, right, int(bi), i, outs, overlap)
+					joinEmit(dst, left, right, int(bi), i, outs, overlap)
 				}
 			}
 		}
-		chunks[m] = chunk
 		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out.concat(chunks), nil
+	})
 }
 
 // DedupNode projects rows onto Vars and eliminates duplicate bindings —

@@ -136,26 +136,46 @@ func (n *QueryNode) template() (*msl.Template, error) {
 	return msl.Compile(n.Send, n.ParamVars)
 }
 
-// instantiate maps every row of in to its probe: of[i] indexes the
-// returned queries. A node without slots sends Send itself, once; no
-// rows send nothing.
-func (n *QueryNode) instantiate(in *Table) (qs []*msl.Rule, of []int, err error) {
+// instantiate maps every row of in to its query: of[i] indexes the
+// returned queries. Rows that instantiate the template identically share
+// one query, and a node without slots sends Send itself, once; perTuple
+// gives each row its own query instead, slots or not. No rows send
+// nothing.
+func (n *QueryNode) instantiate(in *Table, perTuple bool) (qs []*msl.Rule, of []int, err error) {
 	of = make([]int, in.Len())
 	if in.Len() == 0 {
 		return nil, of, nil
 	}
-	if len(n.ParamVars) == 0 {
-		return []*msl.Rule{n.Send}, of, nil
-	}
-	tmpl, err := n.template()
-	if err != nil {
-		return nil, nil, err
-	}
-	p := newProbes(tmpl, in)
-	for i := range of {
-		if of[i], err = p.add(i); err != nil {
+	var tmpl *msl.Template
+	if len(n.ParamVars) > 0 {
+		if tmpl, err = n.template(); err != nil {
 			return nil, nil, err
 		}
 	}
-	return p.rules, of, nil
+	if !perTuple {
+		if tmpl == nil {
+			return []*msl.Rule{n.Send}, of, nil
+		}
+		p := newProbes(tmpl, in)
+		for i := range of {
+			if of[i], err = p.add(i); err != nil {
+				return nil, nil, err
+			}
+		}
+		return p.rules, of, nil
+	}
+	qs = make([]*msl.Rule, in.Len())
+	var slots []int
+	if tmpl != nil {
+		slots = in.colIndexes(tmpl.Slots())
+	}
+	for i := range of {
+		of[i], qs[i] = i, n.Send
+		if tmpl != nil {
+			if qs[i], err = tmpl.Bind(in.appendTuple(nil, i, slots)); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	return qs, of, nil
 }

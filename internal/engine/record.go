@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"medmaker/internal/metrics"
-	"medmaker/internal/msl"
 	"medmaker/internal/trace"
 )
 
@@ -35,13 +34,12 @@ type opRecord struct {
 	node Node
 	end  int
 	// q is the node when it queries a source, and src that source's slot.
-	// tkey is q's template key, and ctx the context q's exchanges start
-	// from: it carries the slot, so the cache's lookups land here.
-	q    *QueryNode
-	src  int
-	tkey string
-	ctx  context.Context
-	ts   *trace.NodeStats
+	// ctx is the context q's exchanges start from: it carries the slot, so
+	// the cache's lookups land here.
+	q   *QueryNode
+	src int
+	ctx context.Context
+	ts  *trace.NodeStats
 
 	rowsIn, rowsOut        atomic.Int64
 	exchanges, queries     atomic.Int64
@@ -71,7 +69,7 @@ func (rs *runState) initRecord(root Node, qt *trace.QueryTrace) {
 		op := &r.ops[i]
 		op.node, op.end, op.src = l.node, l.end, -1
 		if q, ok := l.node.(*QueryNode); ok {
-			op.q, op.src, op.tkey = q, r.source(q.Source), templateKey(q.Send)
+			op.q, op.src = q, r.source(q.Source)
 			op.ctx = trace.WithCacheObserver(rs.ctx, op)
 		}
 	}
@@ -228,24 +226,4 @@ func (rs *runState) publish() {
 	if rs.ex.Stats != nil {
 		rs.ex.Stats.learn(r)
 	}
-}
-
-// templateKey identifies a query shape for the statistics store: the
-// source pattern labels of the template, ignoring constants, so repeated
-// parameterized instances aggregate under one key.
-func templateKey(r *msl.Rule) string {
-	key := "" // one label, the common case, is its own key: no allocation
-	for _, c := range r.Tail {
-		if pc, ok := c.(*msl.PatternConjunct); ok {
-			l := pc.Pattern.LabelName()
-			if l == "" {
-				l = "*"
-			}
-			if key != "" {
-				key += "+"
-			}
-			key += l
-		}
-	}
-	return key
 }

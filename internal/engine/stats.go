@@ -157,7 +157,7 @@ func (s *Stats) CacheHitRate(source string) (float64, bool) {
 
 // learn folds one run's record into the store under one lock: each query
 // shape's mean answer size, under the node's condition-aware shape key
-// and its label-only template key; each parameterized, non-negated
+// (a node without one teaches nothing); each parameterized, non-negated
 // node's output rows per input row — the join selectivity the adaptive
 // order reads — under its shape key with an "|out" suffix; each source's
 // mean exchange latency and its answer-cache lookups. Every key moves
@@ -184,13 +184,8 @@ func (s *Stats) learn(r *runRecord) {
 		if op.q == nil {
 			continue
 		}
-		if n := op.queries.Load(); n > 0 {
-			if op.q.Shape != "" {
-				add(statKey{op.q.Source, op.q.Shape}, op.answers.Load(), n)
-			}
-			if op.tkey != op.q.Shape {
-				add(statKey{op.q.Source, op.tkey}, op.answers.Load(), n)
-			}
+		if n := op.queries.Load(); n > 0 && op.q.Shape != "" {
+			add(statKey{op.q.Source, op.q.Shape}, op.answers.Load(), n)
 		}
 		if in := op.rowsIn.Load(); in > 0 && op.q.Shape != "" && op.q.Child != nil && !op.q.Negated {
 			add(statKey{op.q.Source, op.q.Shape + "|out"}, op.rowsOut.Load(), in)

@@ -88,7 +88,7 @@ func outTable(needed []string, in *Table, conj msl.Conjunct) *Table {
 
 // emptyLike returns an empty table with t's fixed schema, sharing its
 // variable index, with slabs reserved for rows rows — the per-morsel
-// chunk an operator fills before concat.
+// chunk fill hands an operator.
 func (t *Table) emptyLike(rows int) *Table {
 	out := &Table{Cols: t.Cols, vars: t.vars, idx: t.idx, cols: make([][]match.Binding, len(t.vars)), fixed: true}
 	out.reserve(rows)

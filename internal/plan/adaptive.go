@@ -70,17 +70,14 @@ func orderByConditions(patterns []*msl.PatternConjunct) []*msl.PatternConjunct {
 	return patterns
 }
 
-// hasObservations reports whether the store knows anything about any of
-// the conjuncts — under the shape key or the label fallback.
+// hasObservations reports whether the store has learned the unbound
+// fetch size of any of the conjuncts.
 func (p *Planner) hasObservations(patterns []*msl.PatternConjunct) bool {
 	for _, pc := range patterns {
 		if sent, _, err := p.sendPattern(pc, nil, false); err == nil {
 			if _, ok := p.stats.Estimate(pc.Source, engine.ShapeOf(sent, nil)); ok {
 				return true
 			}
-		}
-		if _, ok := p.stats.Estimate(pc.Source, labelKey(pc.Pattern)); ok {
-			return true
 		}
 	}
 	return false

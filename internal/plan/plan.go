@@ -426,25 +426,23 @@ func (p *Planner) order(patterns []*msl.PatternConjunct) []*msl.PatternConjunct 
 	}
 }
 
-// estimate returns a cardinality estimate for a pattern conjunct: the
-// learned shape-keyed statistics first (they see the conjunct's own
-// conditions, so two differently-selective queries on one label stop
-// sharing an estimate), the label-only bucket as fallback, then a
-// label-count probe of the source (the paper's "sampling" fallback) when
-// the source supports cheap counting.
+// estimate returns a cardinality estimate for a pattern conjunct's
+// unbound fetch: the learned statistics of its unbound shape first (they
+// see the conjunct's own conditions, so two differently-selective
+// queries on one label do not share an estimate, and a probe's answers
+// never price a fetch), then the extent's size or a label-count probe of
+// the source (the paper's "sampling" fallback) when the source supports
+// cheap counting.
 func (p *Planner) estimate(pc *msl.PatternConjunct) (float64, bool) {
-	label := labelKey(pc.Pattern)
 	if p.stats != nil {
 		if sent, _, err := p.sendPattern(pc, nil, false); err == nil {
 			if est, ok := p.stats.Estimate(pc.Source, engine.ShapeOf(sent, nil)); ok {
 				return est, true
 			}
 		}
-		if est, ok := p.stats.Estimate(pc.Source, label); ok {
-			return est, true
-		}
 	}
-	if label == "*" {
+	label := pc.Pattern.LabelName()
+	if label == "" {
 		return 0, false
 	}
 	if ext, ok := p.extents[pc.Source]; ok {

@@ -174,12 +174,19 @@ func TestOrderModes(t *testing.T) {
 	if leaf := leafOf(Options{Order: OrderReversed, PushConditions: true, Parameterize: true}, nil); !strings.Contains(leaf, "cs") {
 		t.Errorf("reversed leaf: %s", leaf)
 	}
-	// Stats mode: teach the store that cs/anything is tiny and whois
-	// large; the cs pattern then goes outermost despite fewer conditions.
+	// Stats mode: teach the store that the cs fetch is tiny and the whois
+	// fetch large; the cs pattern then goes outermost despite fewer
+	// conditions.
 	stats := engine.NewStats()
-	for i := 0; i < 3; i++ {
-		stats.Record("cs", "*", 1)
-		stats.Record("whois", "person", 1000)
+	for _, c := range msl.MustParseRule(rule[strings.Index(rule, "<out"):]).Tail {
+		pc := c.(*msl.PatternConjunct)
+		rows := 1
+		if pc.Source == "whois" {
+			rows = 1000
+		}
+		for i := 0; i < 3; i++ {
+			stats.Record(pc.Source, engine.ShapeOf(pc.Pattern, nil), rows)
+		}
 	}
 	if leaf := leafOf(Options{Order: OrderStats, PushConditions: true, Parameterize: true}, stats); !strings.Contains(leaf, "cs") {
 		t.Errorf("stats leaf: %s", leaf)

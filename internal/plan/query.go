@@ -57,20 +57,13 @@ func (p *Planner) queryNode(pc *msl.PatternConjunct, child engine.Node, bound ma
 		// reads exactly what this node's queries taught the store.
 		Shape: engine.ShapeOf(sent, engine.ShapeVars(paramVars)),
 	}
-	// Attach the learned cardinality estimate so EXPLAIN ANALYZE can show
-	// estimated vs. actual rows: the shape bucket first (it reflects this
-	// node's conditions), the label-only bucket as fallback. Only the
+	// Attach the learned cardinality estimate of the node's shape so
+	// EXPLAIN ANALYZE can show estimated vs. actual rows. Only the
 	// statistics store is consulted: the CountLabel probe used for join
 	// ordering costs a source round-trip, which plan construction must not
 	// add per node.
 	if p.stats != nil {
-		if est, ok := p.stats.Estimate(pc.Source, node.Shape); ok {
-			node.EstRows = est
-			node.HasEst = true
-		} else if est, ok := p.stats.Estimate(pc.Source, labelKey(pc.Pattern)); ok {
-			node.EstRows = est
-			node.HasEst = true
-		}
+		node.EstRows, node.HasEst = p.stats.Estimate(pc.Source, node.Shape)
 	}
 	if ext, ok := p.extents[pc.Source]; ok {
 		if !node.HasEst {
@@ -107,15 +100,6 @@ func (p *Planner) sendPattern(pc *msl.PatternConjunct, bound map[string]bool, in
 		paramVars = intersect(bound, patternVarSet(sent))
 	}
 	return sent, paramVars, nil
-}
-
-// labelKey is the label-only statistics bucket for a pattern — the
-// pre-shape key kept as estimation fallback.
-func labelKey(p *msl.ObjectPattern) string {
-	if l := p.LabelName(); l != "" {
-		return l
-	}
-	return "*"
 }
 
 // relax strips the query features a source cannot evaluate, returning a

@@ -230,12 +230,12 @@ type Config struct {
 	// default) means runtime.GOMAXPROCS(0); use 1 (or any value below 1)
 	// for strictly sequential execution.
 	Parallelism int
-	// QueryBatch bounds how many deduplicated parameterized queries the
-	// engine sends to a source per exchange: a query node's input tuples
-	// are deduplicated, and the distinct instantiated queries ship in
-	// groups of up to QueryBatch (one per exchange for sources without
-	// BatchQuerier support). 0 means DefaultQueryBatch; 1 restores the
-	// paper's one-query-per-tuple behavior.
+	// QueryBatch bounds how many queries a query node sends per exchange
+	// to a source that answers a batch in one call (BatchQuerier); any
+	// other source gets one query per exchange. Above 1, the node sends
+	// one query per distinct instantiation of its input tuples. 0 means
+	// DefaultQueryBatch; 1 restores the paper's one query per input
+	// tuple.
 	QueryBatch int
 	// Pipeline is kept so that existing configurations still compile.
 	//

@@ -381,8 +381,9 @@ func TestDeltaRecordsNoSourceStatistics(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := med.QueryStats()
-	obs := stats.Observations("whois", "person")
-	est, _ := stats.Estimate("whois", "person")
+	key := leafShape(t, med, `P :- P:<cs_person {<name N>}>@med.`, "whois")
+	obs := stats.Observations("whois", key)
+	est, _ := stats.Estimate("whois", key)
 	exchanges := sourceExchanges("whois")
 	latency, _ := stats.SourceLatency("whois")
 	if obs == 0 || exchanges == 0 {
@@ -400,11 +401,11 @@ func TestDeltaRecordsNoSourceStatistics(t *testing.T) {
 	if s := med.MatViewStats(); s.Deltas != n || s.DeltaFallbacks != 0 {
 		t.Fatalf("matview stats after %d inserts = %+v", n, s)
 	}
-	if got := stats.Observations("whois", "person"); got != obs {
-		t.Errorf("whois@person observations: %d -> %d", obs, got)
+	if got := stats.Observations("whois", key); got != obs {
+		t.Errorf("whois@%s observations: %d -> %d", key, obs, got)
 	}
-	if got, _ := stats.Estimate("whois", "person"); got != est {
-		t.Errorf("whois@person estimate: %.2f -> %.2f", est, got)
+	if got, _ := stats.Estimate("whois", key); got != est {
+		t.Errorf("whois@%s estimate: %.2f -> %.2f", key, est, got)
 	}
 	if got := sourceExchanges("whois"); got != exchanges {
 		t.Errorf("whois exchanges: %d -> %d", exchanges, got)
