@@ -23,6 +23,8 @@ func (n *FuseNode) Label() string { return "fuse" }
 // Detail implements Node.
 func (n *FuseNode) Detail() string { return "merge result objects sharing an object-id" }
 
+func (n *FuseNode) input() Node { return n.Child }
+
 // Kids implements Node.
 func (n *FuseNode) Kids() []Node { return []Node{n.Child} }
 

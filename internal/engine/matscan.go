@@ -3,9 +3,9 @@ package engine
 import (
 	"fmt"
 
-	"medmaker/internal/match"
 	"medmaker/internal/msl"
 	"medmaker/internal/oem"
+	"medmaker/internal/wrapper"
 )
 
 // Extents binds the in-memory extents a run reads — a materialized view,
@@ -20,9 +20,9 @@ type Extents map[string][]*oem.Object
 // resolves the name in Executor.Extents, so one plan serves whatever the
 // extent holds, and a run binding nothing under the name fails. The node
 // runs QueryNode's body — leaf or parameterized, negation as anti-join,
-// extraction under the input row, projection — and only its fetch
-// differs: each distinct probe is matched over the extent, with zero
-// source exchanges, so nothing reaches the statistics store, the trace's
+// extraction under the input row, projection — with the extent as every
+// probe's candidates, as a local scanner's are, and with zero source
+// exchanges, so nothing reaches the statistics store, the trace's
 // SourceStats or the process metrics, which keeps delta rules and
 // fused-view queries out of the real sources' statistics.
 type MatScanNode struct {
@@ -50,35 +50,17 @@ func (n *MatScanNode) run(rs *runState, kids []*Table) (*Table, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine: extent %q is not bound", n.Source)
 	}
-	return n.eval(rs, kids, false, func(qs []*msl.Rule) ([][]*oem.Object, error) {
-		return scanExtent(rs, extent, qs)
-	})
-}
-
-// scanExtent answers each query O :- O:<pattern>@view over the extent as
-// a source's wrapper.EvalWith would: the objects bound to O by matching
-// the pattern, structural duplicates removed.
-func scanExtent(rs *runState, extent []*oem.Object, qs []*msl.Rule) ([][]*oem.Object, error) {
-	answers := make([][]*oem.Object, len(qs))
-	for i, q := range qs {
-		if err := checkStride(rs, i); err != nil {
-			return nil, err
-		}
-		var pc *msl.PatternConjunct
-		if len(q.Tail) == 1 {
-			pc, _ = q.Tail[0].(*msl.PatternConjunct)
-		}
-		if pc == nil || pc.ObjVar == nil || pc.Negated {
-			return nil, fmt.Errorf("engine: extent scan of %s: want a query O :- O:<pattern>", q)
-		}
-		var objs []*oem.Object
-		if err := match.TopsEach(pc.Pattern, pc.ObjVar, extent, nil, func(m match.Match) {
-			b, _ := m.Lookup(pc.ObjVar.Name)
-			objs = append(objs, b.Obj)
-		}); err != nil {
-			return nil, err
-		}
-		answers[i] = oem.DedupStructural(objs, nil)
+	if wrapper.LocalConjunct(n.Send) == nil {
+		return nil, fmt.Errorf("engine: extent scan of %s: want a query O :- O:<pattern>", n.Send)
 	}
-	return answers, nil
+	// The extent's size, the node's estimate, says nothing about one
+	// probe's answer: extraction presizes nothing.
+	out, _, err := n.eval(rs, kids, false, 0, func(qs []*msl.Rule) ([][]*oem.Object, error) {
+		cands := make([][]*oem.Object, len(qs))
+		for i := range cands {
+			cands[i] = extent
+		}
+		return cands, nil
+	})
+	return out, err
 }

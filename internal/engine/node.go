@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -102,6 +104,8 @@ func (n *QueryNode) Detail() string {
 	return tmpl.String()
 }
 
+func (n *QueryNode) input() Node { return n.Child }
+
 // Kids implements Node.
 func (n *QueryNode) Kids() []Node {
 	if n.Child == nil {
@@ -113,25 +117,53 @@ func (n *QueryNode) Kids() []Node {
 // OutVars implements Node.
 func (n *QueryNode) OutVars() []string { return n.Needed }
 
+// run fetches from a wrapper.LocalScanner the candidates of each query it
+// can supply them for, and from any other source each query's answer.
 func (n *QueryNode) run(rs *runState, kids []*Table) (*Table, error) {
 	src, ok := rs.ex.Sources.Lookup(n.Source)
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown source %q", n.Source)
 	}
+	ls, _ := src.(wrapper.LocalScanner)
+	if wrapper.LocalConjunct(n.Send) == nil {
+		ls = nil
+	}
+	limit := -1 // fetch answers
+	if ls != nil {
+		limit = math.MaxInt // fetch candidates; presize up to the estimate
+		if n.HasEst {
+			limit = int(math.Ceil(n.EstRows))
+		}
+	}
 	op := rs.rec.op(n)
-	return n.eval(rs, kids, rs.ex.queryBatch() == 1, func(qs []*msl.Rule) ([][]*oem.Object, error) {
-		return n.fetchBatches(rs, op, src, qs)
+	queries := op.queries.Load()
+	out, sizes, err := n.eval(rs, kids, rs.ex.queryBatch() == 1, limit, func(qs []*msl.Rule) ([][]*oem.Object, error) {
+		return n.fetchBatches(rs, op, src, ls, qs)
 	})
+	if ls != nil {
+		// A local fetch learns its answer sizes from extraction; one that
+		// failed first takes its queries back, teaching no sizes.
+		if sizes == nil {
+			op.queries.Add(queries - op.queries.Load())
+		}
+		answers := 0
+		for _, a := range sizes {
+			answers += a
+		}
+		op.answers.Add(int64(answers))
+	}
+	return out, err
 }
 
 // eval is the one body of every query operator: instantiate the template
-// under the input rows (a leaf reads the one-row unit table), fetch an
-// answer per query, and extract each row's output from its query's
-// answer. Only fetch differs between a QueryNode (source exchanges) and a
-// MatScanNode (a scan of its extent). perTuple turns probe deduplication
-// off, so that each row sends its own query, as the paper's
-// parameterized query node does.
-func (n *QueryNode) eval(rs *runState, kids []*Table, perTuple bool, fetch func([]*msl.Rule) ([][]*oem.Object, error)) (*Table, error) {
+// under the input rows (a leaf reads the one-row unit table), fetch, and
+// extract each row's output from what was fetched for its query. fetch
+// returns each query's answer or, when limit ≥ 0, the candidates it
+// would be matched from; then eval also returns each query's answer size
+// (see extractRows). A QueryNode fetches from its source, a MatScanNode
+// its extent. perTuple turns probe deduplication off, so that each row
+// sends its own query, as the paper's parameterized query node does.
+func (n *QueryNode) eval(rs *runState, kids []*Table, perTuple bool, limit int, fetch func([]*msl.Rule) ([][]*oem.Object, error)) (*Table, []int, error) {
 	var in *Table
 	if len(kids) == 1 {
 		in = kids[0]
@@ -140,13 +172,26 @@ func (n *QueryNode) eval(rs *runState, kids []*Table, perTuple bool, fetch func(
 	}
 	qs, of, err := n.instantiate(in, perTuple)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	answers, err := fetch(qs)
+	got, err := fetch(qs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return n.extractRows(rs, in, of, answers)
+	once := limit >= 0 && n.decides(in)
+	if limit >= 0 && !once {
+		// Extraction cannot tell what the source matches: evaluate each
+		// answer over its candidates as the source would.
+		for q := range qs {
+			if err = checkStride(rs, q); err == nil {
+				got[q], err = wrapper.Eval(qs[q], got[q], nil)
+			}
+			if err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	return n.extractRows(rs, in, of, got, once, limit)
 }
 
 // outTable returns the node's empty output table over input in.
@@ -177,28 +222,151 @@ func (n *QueryNode) extract(out *Table, row *rowCursor, objs []*oem.Object) erro
 	return nil
 }
 
-// extractRows extracts from answers[of[i]] under each input row i. It is
-// pure CPU — pattern matching under each row — so it fans out
-// morsel-parallel, presized for the answers it reads.
-func (n *QueryNode) extractRows(rs *runState, in *Table, of []int, answers [][]*oem.Object) (*Table, error) {
-	return rs.fill(n, n.outTable(in), in.Len(), func(dst *Table, lo, hi int) error {
+// extractRows extracts from fetched[of[i]] under each input row i:
+// answers, or with once candidates, which extractOnce matches once,
+// presizing up to limit rows per query. With limit ≥ 0 it returns each
+// query's answer size. It is pure CPU — pattern matching under each
+// row — so it fans out morsel-parallel.
+func (n *QueryNode) extractRows(rs *runState, in *Table, of []int, fetched [][]*oem.Object, once bool, limit int) (*Table, []int, error) {
+	var sizes, first []int // first: the row that reports a query's size
+	if limit >= 0 {
+		sizes, first = make([]int, len(fetched)), make([]int, len(fetched))
+		for i := len(of) - 1; i >= 0; i-- {
+			first[of[i]] = i
+		}
+	}
+	out, err := rs.fill(n, n.outTable(in), in.Len(), func(dst *Table, lo, hi int) error {
 		rows := hi - lo
 		if !n.Negated {
 			rows = 0
-			for i := lo; i < hi; i++ {
-				rows += len(answers[of[i]])
+			for _, q := range of[lo:hi] {
+				c := len(fetched[q])
+				if once {
+					c = min(c, limit) // candidates can far outnumber matches
+				}
+				rows += c
 			}
 		}
 		dst.reserve(rows)
 		row := &rowCursor{t: in}
 		for i := lo; i < hi; i++ {
 			row.i = i
-			if err := n.extract(dst, row, answers[of[i]]); err != nil {
+			size, err := len(fetched[of[i]]), error(nil)
+			if once {
+				size, err = n.extractOnce(dst, row, fetched[of[i]], limit)
+			} else {
+				err = n.extract(dst, row, fetched[of[i]])
+			}
+			if err != nil {
 				return err
+			}
+			if first != nil && first[of[i]] == i {
+				sizes[of[i]] = size
 			}
 		}
 		return nil
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, sizes, nil
+}
+
+// extractOnce is extract over candidates instead of an answer, with the
+// answer's semantics: a candidate gives rows only if it matches under the
+// row, and none if it is structurally equal to an earlier candidate that
+// did (the source's duplicate elimination on its object variable). It
+// returns how many candidates gave rows.
+func (n *QueryNode) extractOnce(out *Table, row *rowCursor, cands []*oem.Object, limit int) (int, error) {
+	var first *oem.Object
+	var seen *oem.Deduper // built once a second candidate matches
+	kept := 0
+	for k, c := range cands {
+		fresh, keep := true, false
+		if err := match.TopsEach(n.Extract, n.ExtractObjVar, cands[k:k+1], row, func(m match.Match) {
+			if fresh {
+				fresh = false
+				if first == nil {
+					first, keep = c, true
+				} else {
+					if seen == nil {
+						seen = oem.NewDeduper(min(len(cands)-k+1, limit))
+						seen.Seen(first)
+					}
+					keep = !seen.Seen(c)
+				}
+				if keep {
+					kept++
+				}
+			}
+			if keep && !n.Negated {
+				out.appendMatch(m)
+			}
+		}); err != nil {
+			return 0, err
+		}
+	}
+	if n.Negated && kept == 0 {
+		out.appendRow(row)
+	}
+	return kept, nil
+}
+
+// decides reports whether extraction under in's rows decides exactly what
+// each row's query matches at the source: the node sends its extraction
+// pattern itself — unrelaxed, with no top-level wildcard (extraction
+// would descend into the answer again), binding the sent query's object
+// variable only as extraction does — and each variable the rows bind
+// that the pattern uses is a slot every row fills with an atom.
+func (n *QueryNode) decides(in *Table) bool {
+	pc, p, ov := wrapper.LocalConjunct(n.Send), n.Extract, n.ExtractObjVar
+	if pc.Pattern != p || p.Wildcard || (ov == nil || ov.Name != pc.ObjVar.Name) && varUse(p, pc.ObjVar.Name) > 0 {
+		return false
+	}
+	for c, v := range in.vars {
+		use := varUse(p, v)
+		if ov != nil && ov.Name == v {
+			use = 2 // object variables are never slots
+		}
+		slot := use == 1 && slices.Contains(n.ParamVars, v)
+		for i := 0; use > 0 && i < in.Len(); i++ {
+			b := in.binding(i, c)
+			if val, atom := b.AsValue(); !b.IsZero() && (!slot || !atom || val.Kind() == oem.KindSet) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// varUse reports how pattern p uses variable v: 0 not at all, 1 only
+// where a slot's atom can stand for it (oids, labels, values), 2 also as
+// a set element or rest variable, which bind objects and sets.
+func varUse(p *msl.ObjectPattern, v string) int {
+	use := 0
+	for _, t := range [...]msl.Term{p.OID, p.Label, p.Value} {
+		switch x := t.(type) {
+		case *msl.Var:
+			if x.Name == v {
+				use = max(use, 1)
+			}
+		case *msl.SetPattern:
+			if x.Rest != nil && x.Rest.Name == v {
+				return 2
+			}
+			for _, e := range x.Elems {
+				if ep, ok := e.(*msl.ObjectPattern); ok {
+					use = max(use, varUse(ep, v))
+				} else if ev, ok := e.(*msl.Var); ok && ev.Name == v {
+					return 2
+				}
+			}
+			for _, rc := range x.RestConstraints {
+				use = max(use, varUse(rc, v))
+			}
+		}
+	}
+	return use
 }
 
 // fetchBatches ships the queries to the source, up to Executor.QueryBatch
@@ -207,36 +375,43 @@ func (n *QueryNode) extractRows(rs *runState, in *Table, of []int, answers [][]*
 // failure policy to every exchange: a failed exchange's queries answer
 // empty under Skip/Partial instead of aborting the run. Each exchange is
 // one morsel, so independent exchanges run concurrently up to
-// Executor.Parallelism; answers[i] answers qs[i], so exchange completion
-// order never affects the output (extraction replays the input-row
-// order).
-func (n *QueryNode) fetchBatches(rs *runState, op *opRecord, src wrapper.Source, qs []*msl.Rule) ([][]*oem.Object, error) {
+// Executor.Parallelism; answers[i] answers qs[i] (with ls, holds its
+// candidates), so exchange completion order never affects the output
+// (extraction replays the input-row order).
+func (n *QueryNode) fetchBatches(rs *runState, op *opRecord, src wrapper.Source, ls wrapper.LocalScanner, qs []*msl.Rule) ([][]*oem.Object, error) {
 	size := 1
 	if wrapper.Batches(src) {
 		size = rs.ex.queryBatch()
 	}
 	answers := make([][]*oem.Object, len(qs))
 	err := rs.runMorselsWidth(n, len(qs), size, func(_, lo, hi int) error {
-		return n.fetchChunk(rs, op, src, qs[lo:hi], answers[lo:hi])
+		return n.fetchChunk(rs, op, src, ls, qs[lo:hi], answers[lo:hi])
 	})
 	return answers, err
 }
 
 // fetchChunk performs one exchange, answering qs[i] into out[i]: a lone
-// query travels as itself, several as one batch. When the policy absorbs
-// a failure (or the source is circuit-broken) the answers stay empty, or
-// hold a composite's surviving union, and the run is marked incomplete.
-func (n *QueryNode) fetchChunk(rs *runState, op *opRecord, src wrapper.Source, qs []*msl.Rule, out [][]*oem.Object) error {
+// query travels as itself, several as one batch, and a local scanner
+// supplies candidates query by query (their answer sizes are recorded
+// after extraction). When the policy absorbs a failure (or the source is
+// circuit-broken) the answers stay empty, or hold a composite's surviving
+// union, and the run is marked incomplete.
+func (n *QueryNode) fetchChunk(rs *runState, op *opRecord, src wrapper.Source, ls wrapper.LocalScanner, qs []*msl.Rule, out [][]*oem.Object) error {
 	if rs.sourceDown(n.Source) {
 		return nil // every answer stays empty
 	}
 	ctx, cancel := rs.sourceCtx(op)
 	start := time.Now()
 	var qerr error
-	res := out // a lone query answers in place
-	if len(qs) == 1 {
+	res := out // a lone query and a local scan answer in place
+	switch {
+	case ls != nil:
+		for i := 0; i < len(qs) && qerr == nil; i++ {
+			res[i], qerr = ls.Candidates(ctx, qs[i])
+		}
+	case len(qs) == 1:
 		res[0], qerr = wrapper.QueryContext(ctx, src, qs[0])
-	} else {
+	default:
 		res, qerr = wrapper.QueryBatchContext(ctx, src, qs)
 	}
 	elapsed := time.Since(start)
@@ -251,7 +426,9 @@ func (n *QueryNode) fetchChunk(rs *runState, op *opRecord, src wrapper.Source, q
 	answers := 0
 	for i := range qs {
 		out[i] = res[i]
-		answers += len(res[i])
+		if ls == nil {
+			answers += len(res[i])
+		}
 	}
 	rs.recordExchange(op, len(qs), answers, elapsed)
 	return nil
@@ -280,6 +457,8 @@ func (n *ExtPredNode) Label() string { return "external-pred(" + n.Pred.Name + "
 
 // Detail implements Node.
 func (n *ExtPredNode) Detail() string { return n.Pred.String() }
+
+func (n *ExtPredNode) input() Node { return n.Child }
 
 // Kids implements Node.
 func (n *ExtPredNode) Kids() []Node { return []Node{n.Child} }
@@ -522,6 +701,8 @@ func (n *DedupNode) Label() string { return "dedup" }
 // Detail implements Node.
 func (n *DedupNode) Detail() string { return "on " + strings.Join(n.Vars, ", ") }
 
+func (n *DedupNode) input() Node { return n.Child }
+
 // Kids implements Node.
 func (n *DedupNode) Kids() []Node { return []Node{n.Child} }
 
@@ -608,6 +789,8 @@ func (n *ConstructNode) Detail() string {
 	}
 	return strings.Join(parts, " ")
 }
+
+func (n *ConstructNode) input() Node { return n.Child }
 
 // Kids implements Node.
 func (n *ConstructNode) Kids() []Node { return []Node{n.Child} }

@@ -111,19 +111,42 @@ type layoutSlot struct {
 	end  int
 }
 
-// appendLayout appends the slots of n's subtree in preorder, asking each
-// node for its kids once.
+// appendLayout appends the slots of n's subtree in preorder.
 func appendLayout(dst []layoutSlot, n Node) []layoutSlot {
 	if n == nil {
 		return dst
 	}
 	i := len(dst)
 	dst = append(dst, layoutSlot{node: n})
-	for _, k := range n.Kids() {
-		dst = appendLayout(dst, k)
-	}
+	eachKid(n, func(k Node) { dst = appendLayout(dst, k) })
 	dst[i].end = len(dst)
 	return dst
+}
+
+// Walk visits every operator of the graph rooted at n, in preorder.
+func Walk(n Node, visit func(Node)) {
+	if n == nil {
+		return
+	}
+	visit(n)
+	eachKid(n, func(k Node) { Walk(k, visit) })
+}
+
+// unary is an operator with at most one input, its Child.
+type unary interface{ input() Node }
+
+// eachKid calls fn on each input of n, reading a unary operator's from
+// its field: Kids would build a slice for it on every call.
+func eachKid(n Node, fn func(Node)) {
+	if u, ok := n.(unary); ok {
+		if k := u.input(); k != nil {
+			fn(k)
+		}
+		return
+	}
+	for _, k := range n.Kids() {
+		fn(k)
+	}
 }
 
 // source returns the slot of the named source, adding it on first use.

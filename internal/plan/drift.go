@@ -34,7 +34,7 @@ func Drifted(c *Compiled, stats *engine.Stats, ratio float64) bool {
 		ratio = DriftRatio
 	}
 	drifted := false
-	walkNodes(c.Plan.Root, func(n engine.Node) {
+	engine.Walk(c.Plan.Root, func(n engine.Node) {
 		if drifted {
 			return
 		}
@@ -71,15 +71,4 @@ func diverged(a, b, ratio float64) bool {
 		return hi >= ratio
 	}
 	return hi/lo > ratio
-}
-
-// walkNodes visits every node of the graph, pre-order.
-func walkNodes(n engine.Node, visit func(engine.Node)) {
-	if n == nil {
-		return
-	}
-	visit(n)
-	for _, k := range n.Kids() {
-		walkNodes(k, visit)
-	}
 }

@@ -105,7 +105,13 @@ func (p *Planner) sendPattern(pc *msl.PatternConjunct, bound map[string]bool, in
 // relax strips the query features a source cannot evaluate, returning a
 // pattern the source will accept. Extraction at the mediator re-verifies
 // the original pattern, so relaxation only ever widens the candidate set.
+// A pattern the source accepts as it is comes back itself, which tells
+// the engine that extraction decides what the source would match.
 func relax(p *msl.ObjectPattern, caps wrapper.Capabilities) *msl.ObjectPattern {
+	one := &msl.Rule{Tail: []msl.Conjunct{&msl.PatternConjunct{Pattern: p}}}
+	if wrapper.CheckCapabilities(one, caps, "") == nil {
+		return p
+	}
 	if hasWildcard(p) && !caps.Wildcards {
 		// The source cannot search at depth: fetch everything (any label,
 		// any structure) and match at the mediator.

@@ -46,6 +46,7 @@ var (
 	_ wrapper.ContextSource       = (*Wrapper)(nil)
 	_ wrapper.ContextBatchQuerier = (*Wrapper)(nil)
 	_ wrapper.Notifier            = (*Wrapper)(nil)
+	_ wrapper.LocalScanner        = (*Wrapper)(nil)
 )
 
 // NewWrapper wraps db as a source with the given name. Rows inserted into
@@ -93,6 +94,16 @@ func (w *Wrapper) Query(q *msl.Rule) ([]*oem.Object, error) {
 		return nil, err
 	}
 	return wrapper.EvalWith(q, w.candidates, w.gen)
+}
+
+// Candidates implements wrapper.LocalScanner: the converted rows Query
+// would match q's pattern over, selected through the same indexes.
+func (w *Wrapper) Candidates(ctx context.Context, q *msl.Rule) ([]*oem.Object, error) {
+	pc, err := wrapper.CheckLocal(ctx, q, w.Capabilities(), w.name)
+	if err != nil {
+		return nil, err
+	}
+	return w.candidates(pc)
 }
 
 // QueryContext implements wrapper.ContextSource: the context is checked

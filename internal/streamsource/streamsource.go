@@ -148,6 +148,12 @@ func (s *Source) QueryContext(ctx context.Context, q *msl.Rule) ([]*oem.Object, 
 	return s.Collection.QueryContext(ctx, q)
 }
 
+// Candidates implements wrapper.LocalScanner, expiring first.
+func (s *Source) Candidates(ctx context.Context, q *msl.Rule) ([]*oem.Object, error) {
+	s.Expire()
+	return s.Collection.Candidates(ctx, q)
+}
+
 // QueryBatch implements wrapper.BatchQuerier, expiring once per batch.
 func (s *Source) QueryBatch(qs []*msl.Rule) ([][]*oem.Object, error) {
 	s.Expire()

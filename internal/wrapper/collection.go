@@ -15,7 +15,8 @@ import (
 // Collection is the one in-memory holder of top-level OEM objects behind
 // every OEM-native source kind (oemstore, semistruct, xmlsource,
 // streamsource): the object list, a label index over it, the change feed,
-// and the Source entry points answering MSL over it through EvalWith.
+// and the Source entry points answering MSL over it through EvalWith (or,
+// as a LocalScanner, handing over EvalWith's candidates).
 // Each kind embeds a *Collection and adds only its own loading or
 // retention.
 //
@@ -52,6 +53,7 @@ var (
 	_ BatchQuerier        = (*Collection)(nil)
 	_ ContextBatchQuerier = (*Collection)(nil)
 	_ Counter             = (*Collection)(nil)
+	_ LocalScanner        = (*Collection)(nil)
 	_ Notifier            = (*Collection)(nil)
 )
 
@@ -268,6 +270,16 @@ func (c *Collection) Query(q *msl.Rule) ([]*oem.Object, error) {
 	}, c.gen)
 }
 
+// Candidates implements LocalScanner: the objects Query would match q's
+// pattern over, from one snapshot.
+func (c *Collection) Candidates(ctx context.Context, q *msl.Rule) ([]*oem.Object, error) {
+	pc, err := CheckLocal(ctx, q, c.caps, c.name)
+	if err != nil {
+		return nil, err
+	}
+	return c.candidates(c.ext.Load(), pc)
+}
+
 // QueryContext implements ContextSource. Matching is in-process, so the
 // context is only consulted up front.
 func (c *Collection) QueryContext(ctx context.Context, q *msl.Rule) ([]*oem.Object, error) {
@@ -292,7 +304,7 @@ func (c *Collection) QueryBatchContext(ctx context.Context, qs []*msl.Rule) ([][
 
 // SetPushdown enables or disables candidate narrowing; with it off every
 // query scans the full extent (the matcher still returns correct
-// answers). Used by the pushdown ablations.
+// answers); tests compare supplied counts both ways.
 func (c *Collection) SetPushdown(on bool) { c.pushdown.Store(on) }
 
 // Supplied returns the cumulative number of top-level objects handed to

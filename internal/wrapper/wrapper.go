@@ -69,6 +69,45 @@ type Counter interface {
 	CountLabel(label string) (n int, ok bool)
 }
 
+// LocalScanner is an optional Source extension for an in-process source
+// whose objects are already OEM: for a query LocalConjunct accepts, it
+// makes Query's checks (the context, then CheckCapabilities) and returns,
+// in extent order, the candidates Query would match the pattern over.
+// The engine's extraction is then the only matcher. Decorators (caches,
+// remote clients, Limited, composites) hide it and keep answering MSL.
+type LocalScanner interface {
+	Candidates(ctx context.Context, q *msl.Rule) ([]*oem.Object, error)
+}
+
+// LocalConjunct returns the pattern conjunct of q when q is a query
+// _O :- _O:<pattern>@src, one positive conjunct whose object variable is
+// the whole head, and nil otherwise.
+func LocalConjunct(q *msl.Rule) *msl.PatternConjunct {
+	if len(q.Tail) != 1 || len(q.Head) != 1 {
+		return nil
+	}
+	pc, ok := q.Tail[0].(*msl.PatternConjunct)
+	if v, isVar := q.Head[0].(*msl.Var); !ok || !isVar || pc.Negated || pc.ObjVar == nil || v.Name != pc.ObjVar.Name {
+		return nil
+	}
+	return pc
+}
+
+// CheckLocal makes a LocalScanner's checks and returns the conjunct to
+// supply candidates for.
+func CheckLocal(ctx context.Context, q *msl.Rule, caps Capabilities, name string) (*msl.PatternConjunct, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := CheckCapabilities(q, caps, name); err != nil {
+		return nil, err
+	}
+	if pc := LocalConjunct(q); pc != nil {
+		return pc, nil
+	}
+	return nil, fmt.Errorf("wrapper: %s: no candidates for %s: want a query O :- O:<pattern>", name, q)
+}
+
 // UnsupportedError reports a query feature the source cannot evaluate.
 type UnsupportedError struct {
 	Source  string
