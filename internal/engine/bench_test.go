@@ -46,7 +46,7 @@ func BenchmarkHashJoin(b *testing.B) {
 			rs := newRunState(be.ex, context.Background(), n)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out, err := n.run(rs, []*Table{left, right})
+				out, err := n.run(rs, &rs.rec.ops[0], []*Table{left, right})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -68,7 +68,7 @@ func BenchmarkDedup(b *testing.B) {
 			rs := newRunState(be.ex, context.Background(), n)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out, err := n.run(rs, []*Table{in})
+				out, err := n.run(rs, &rs.rec.ops[0], []*Table{in})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -22,7 +22,8 @@ import (
 // statistics database that is based on results of previous queries").
 type Executor struct {
 	Sources *wrapper.Registry
-	// Extents binds the extents the graph's MatScanNodes read, by name.
+	// Extents binds the extents the graph's extent scans (QueryNode.View)
+	// read, by name; a scan whose extent the run does not bind fails.
 	Extents Extents
 	Extfn   *extfn.Table
 	IDGen   *oem.IDGen
@@ -57,6 +58,13 @@ type Executor struct {
 	// all-or-nothing behavior.
 	Policy Policy
 }
+
+// Extents binds the in-memory extents a run reads — a materialized view,
+// the fused view, the objects one insert added — to the names its extent
+// scans read. The objects are shared with their producer and are never
+// mutated (the engine copies source material first) or looked up by oid,
+// so objects may share one.
+type Extents map[string][]*oem.Object
 
 // queryBatch returns the effective parameterized-query batch size; values
 // below 2 mean batching is off.
@@ -124,7 +132,7 @@ func (ex *Executor) runMaterialized(rs *runState, i int) (*Table, error) {
 		}
 	}
 	start := time.Now()
-	out, err := op.node.run(rs, kids)
+	out, err := op.node.run(rs, op, kids)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", op.node.Label(), err)
 	}

@@ -31,7 +31,7 @@ func (n *FuseNode) Kids() []Node { return []Node{n.Child} }
 // OutVars implements Node.
 func (n *FuseNode) OutVars() []string { return []string{ResultVar} }
 
-func (n *FuseNode) run(rs *runState, kids []*Table) (*Table, error) {
+func (n *FuseNode) run(rs *runState, _ *opRecord, kids []*Table) (*Table, error) {
 	in := kids[0]
 	byOID := make(map[oem.OID]*oem.Object, in.Len())
 	var order []*oem.Object

@@ -10,11 +10,11 @@ import (
 // tableNode injects a fixed table into a graph, for node-level tests.
 type tableNode struct{ t *Table }
 
-func (n *tableNode) Label() string                           { return "fixed" }
-func (n *tableNode) Detail() string                          { return "test input" }
-func (n *tableNode) Kids() []Node                            { return nil }
-func (n *tableNode) OutVars() []string                       { return n.t.Cols }
-func (n *tableNode) run(*runState, []*Table) (*Table, error) { return n.t, nil }
+func (n *tableNode) Label() string                                      { return "fixed" }
+func (n *tableNode) Detail() string                                     { return "test input" }
+func (n *tableNode) Kids() []Node                                       { return nil }
+func (n *tableNode) OutVars() []string                                  { return n.t.Cols }
+func (n *tableNode) run(*runState, *opRecord, []*Table) (*Table, error) { return n.t, nil }
 
 func resultTable(objs ...*oem.Object) *Table {
 	t := newProjTable([]string{ResultVar})

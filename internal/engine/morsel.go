@@ -46,27 +46,25 @@ func (ex *Executor) morselCount(total int) int {
 // concurrent calls on distinct morsels. The first error (or the run's
 // cancellation) stops the pool; the error returned is the lowest failed
 // morsel's, as in the serial loop, or the run's own context error once
-// the run is cancelled. Morsel and worker counts are reported to the
-// node's trace record.
-func (rs *runState) runMorsels(n Node, total int, fn func(m, lo, hi int) error) error {
-	return rs.runMorselsWidth(n, total, rs.ex.morselRows(), fn)
+// the run is cancelled. Morsel and worker counts are reported to op, the
+// operator's slot, when the run is traced.
+func (rs *runState) runMorsels(op *opRecord, total int, fn func(m, lo, hi int) error) error {
+	return rs.runMorselsWidth(op, total, rs.ex.morselRows(), fn)
 }
 
 // runMorselsWidth is runMorsels with an explicit morsel width. Latency-
 // bound work makes each exchange its own morsel — width 1, or a batch's
 // worth of queries — so four exchanges fan out over four workers instead
 // of sharing one row-sized morsel.
-func (rs *runState) runMorselsWidth(n Node, total, size int, fn func(m, lo, hi int) error) error {
+func (rs *runState) runMorselsWidth(op *opRecord, total, size int, fn func(m, lo, hi int) error) error {
 	width := max(size, 1)
 	morsels := (total + width - 1) / width
 	if morsels == 0 {
 		return rs.cancelled()
 	}
 	workers := min(rs.ex.parallelism(), morsels)
-	if rs.rec.qt != nil {
-		if op := rs.rec.op(n); op != nil {
-			op.ts.AddMorsels(morsels, workers)
-		}
+	if op != nil {
+		op.ts.AddMorsels(morsels, workers)
 	}
 	if workers <= 1 {
 		for m := 0; m < morsels; m++ {
@@ -130,12 +128,12 @@ func (rs *runState) runMorselsWidth(n Node, total, size int, fn func(m, lo, hi i
 // of out's schema, and the chunks concatenate once every morsel is done.
 // A lone morsel appends to out itself: no chunk and no copy. fn may
 // reserve room in dst for the rows it is about to append.
-func (rs *runState) fill(n Node, out *Table, total int, fn func(dst *Table, lo, hi int) error) (*Table, error) {
+func (rs *runState) fill(op *opRecord, out *Table, total int, fn func(dst *Table, lo, hi int) error) (*Table, error) {
 	var chunks []*Table
 	if m := rs.ex.morselCount(total); m > 1 {
 		chunks = make([]*Table, m)
 	}
-	if err := rs.runMorsels(n, total, func(m, lo, hi int) error {
+	if err := rs.runMorsels(op, total, func(m, lo, hi int) error {
 		if chunks == nil {
 			return fn(out, lo, hi)
 		}

@@ -30,8 +30,9 @@ type Node interface {
 	// OutVars lists the variables bound in the output table.
 	OutVars() []string
 	// run executes the operator over its evaluated inputs, under the
-	// run's context and failure policy.
-	run(rs *runState, kids []*Table) (*Table, error)
+	// run's context and failure policy, recording into op, its slot of
+	// the run record.
+	run(rs *runState, op *opRecord, kids []*Table) (*Table, error)
 }
 
 // cancelCheckStride is how many rows an operator's inner loop processes
@@ -43,12 +44,18 @@ const cancelCheckStride = 1024
 // once per input tuple when it has a child (the paper's parameterized
 // query node). Returned objects are matched against Extract (with the
 // input row's bindings, which enforces join consistency), and the
-// resulting rows are projected onto Needed.
+// resulting rows are projected onto Needed. With View set the node reads
+// an in-memory extent instead of a source (see Extents).
 type QueryNode struct {
 	// Child supplies input tuples; nil makes this a leaf query node.
 	Child Node
-	// Source is the wrapper or mediator to query.
+	// Source is the wrapper or mediator to query, or with View the
+	// extent to read: the name each run resolves in Executor.Extents.
 	Source string
+	// View, when set, makes the node an extent scan, "matscan(View)":
+	// the extent is every query's candidates, with no exchange, so nothing
+	// reaches the statistics store, the trace's SourceStats or metrics.
+	View string
 	// Send is the query template. Variables listed in ParamVars are
 	// replaced per input tuple by the row's atomic bindings before
 	// sending; other variables stay free.
@@ -85,14 +92,17 @@ type QueryNode struct {
 
 // Label implements Node.
 func (n *QueryNode) Label() string {
-	kind := "query"
+	kind, name := "query", n.Source
+	if n.View != "" {
+		kind, name = "matscan", n.View
+	}
 	if n.Child != nil {
-		kind = "param-query"
+		kind = "param-" + kind
 	}
 	if n.Negated {
 		kind = "anti-" + kind
 	}
-	return kind + "(" + n.Source + ")"
+	return kind + "(" + name + ")"
 }
 
 // Detail implements Node, showing the template with $-marked parameters.
@@ -117,81 +127,81 @@ func (n *QueryNode) Kids() []Node {
 // OutVars implements Node.
 func (n *QueryNode) OutVars() []string { return n.Needed }
 
-// run fetches from a wrapper.LocalScanner the candidates of each query it
-// can supply them for, and from any other source each query's answer.
-func (n *QueryNode) run(rs *runState, kids []*Table) (*Table, error) {
-	src, ok := rs.ex.Sources.Lookup(n.Source)
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown source %q", n.Source)
-	}
-	ls, _ := src.(wrapper.LocalScanner)
-	if wrapper.LocalConjunct(n.Send) == nil {
-		ls = nil
-	}
-	limit := -1 // fetch answers
-	if ls != nil {
-		limit = math.MaxInt // fetch candidates; presize up to the estimate
-		if n.HasEst {
-			limit = int(math.Ceil(n.EstRows))
-		}
-	}
-	op := rs.rec.op(n)
-	queries := op.queries.Load()
-	out, sizes, err := n.eval(rs, kids, rs.ex.queryBatch() == 1, limit, func(qs []*msl.Rule) ([][]*oem.Object, error) {
-		return n.fetchBatches(rs, op, src, ls, qs)
-	})
-	if ls != nil {
-		// A local fetch learns its answer sizes from extraction; one that
-		// failed first takes its queries back, teaching no sizes.
-		if sizes == nil {
-			op.queries.Add(queries - op.queries.Load())
-		}
-		answers := 0
-		for _, a := range sizes {
-			answers += a
-		}
-		op.answers.Add(int64(answers))
-	}
-	return out, err
-}
-
-// eval is the one body of every query operator: instantiate the template
+// run is the one body of every query operator: instantiate the template
 // under the input rows (a leaf reads the one-row unit table), fetch, and
-// extract each row's output from what was fetched for its query. fetch
-// returns each query's answer or, when limit ≥ 0, the candidates it
-// would be matched from; then eval also returns each query's answer size
-// (see extractRows). A QueryNode fetches from its source, a MatScanNode
-// its extent. perTuple turns probe deduplication off, so that each row
-// sends its own query, as the paper's parameterized query node does.
-func (n *QueryNode) eval(rs *runState, kids []*Table, perTuple bool, limit int, fetch func([]*msl.Rule) ([][]*oem.Object, error)) (*Table, []int, error) {
+// extract each row's output from what was fetched for its query. A node
+// over a source fetches each query's answer, or from a
+// wrapper.LocalScanner its candidates; an extent scan takes the extent
+// as every query's candidates and deduplicates probes at every
+// QueryBatch, since the per-tuple mode only shows in exchanges.
+func (n *QueryNode) run(rs *runState, op *opRecord, kids []*Table) (*Table, error) {
+	var (
+		src    wrapper.Source
+		ls     wrapper.LocalScanner
+		extent []*oem.Object
+		ok     bool
+	)
+	if n.View != "" {
+		if extent, ok = rs.ex.Extents[n.Source]; !ok {
+			return nil, fmt.Errorf("engine: extent %q is not bound", n.Source)
+		}
+		if wrapper.LocalConjunct(n.Send) == nil {
+			return nil, fmt.Errorf("engine: extent scan of %s: want a query O :- O:<pattern>", n.Send)
+		}
+	} else if src, ok = rs.ex.Sources.Lookup(n.Source); !ok {
+		return nil, fmt.Errorf("engine: unknown source %q", n.Source)
+	} else if wrapper.LocalConjunct(n.Send) != nil {
+		ls, _ = src.(wrapper.LocalScanner)
+	}
 	var in *Table
 	if len(kids) == 1 {
 		in = kids[0]
 	} else {
 		in = unitTable()
 	}
-	qs, of, err := n.instantiate(in, perTuple)
+	qs, of, err := n.instantiate(in, src != nil && rs.ex.queryBatch() == 1)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	got, err := fetch(qs)
-	if err != nil {
-		return nil, nil, err
+	got := make([][]*oem.Object, len(qs))
+	queries, answers := op.queries.Load(), op.answers.Load()
+	if src == nil {
+		for q := range got {
+			got[q] = extent
+		}
+	} else {
+		err = n.fetchBatches(rs, op, src, ls, qs, got)
 	}
-	once := limit >= 0 && n.decides(in)
-	if limit >= 0 && !once {
-		// Extraction cannot tell what the source matches: evaluate each
-		// answer over its candidates as the source would.
-		for q := range qs {
-			if err = checkStride(rs, q); err == nil {
-				got[q], err = wrapper.Eval(qs[q], got[q], nil)
-			}
-			if err != nil {
-				return nil, nil, err
-			}
+	// Over candidates, extraction matches each candidate once when it
+	// decides what the query matches, presizing up to the estimated
+	// answer (an extent's size, a scan's estimate, says nothing about one
+	// probe's); otherwise it evaluates each answer over its candidates as
+	// the source would.
+	cands := src == nil || ls != nil
+	once := cands && err == nil && n.decides(in)
+	for q := 0; cands && !once && err == nil && q < len(qs); q++ {
+		if err = checkStride(rs, q); err == nil {
+			got[q], err = wrapper.Eval(qs[q], got[q], nil)
 		}
 	}
-	return n.extractRows(rs, in, of, got, once, limit)
+	limit := 0
+	if ls != nil {
+		limit = math.MaxInt
+		if n.HasEst {
+			limit = int(math.Ceil(n.EstRows))
+		}
+	}
+	var out *Table
+	if err == nil {
+		out, err = n.extractRows(rs, op, in, of, got, once, limit, ls != nil)
+	}
+	if err != nil && ls != nil {
+		// A local fetch learns its answer sizes from extraction; one that
+		// failed takes its queries and sizes back, teaching nothing.
+		op.queries.Add(queries - op.queries.Load())
+		op.answers.Add(answers - op.answers.Load())
+	}
+	return out, err
 }
 
 // outTable returns the node's empty output table over input in.
@@ -224,18 +234,18 @@ func (n *QueryNode) extract(out *Table, row *rowCursor, objs []*oem.Object) erro
 
 // extractRows extracts from fetched[of[i]] under each input row i:
 // answers, or with once candidates, which extractOnce matches once,
-// presizing up to limit rows per query. With limit ≥ 0 it returns each
-// query's answer size. It is pure CPU — pattern matching under each
-// row — so it fans out morsel-parallel.
-func (n *QueryNode) extractRows(rs *runState, in *Table, of []int, fetched [][]*oem.Object, once bool, limit int) (*Table, []int, error) {
-	var sizes, first []int // first: the row that reports a query's size
-	if limit >= 0 {
-		sizes, first = make([]int, len(fetched)), make([]int, len(fetched))
+// presizing up to limit rows per query. With count it adds each query's
+// answer size to op's answers. It is pure CPU — pattern matching under
+// each row — so it fans out morsel-parallel.
+func (n *QueryNode) extractRows(rs *runState, op *opRecord, in *Table, of []int, fetched [][]*oem.Object, once bool, limit int, count bool) (*Table, error) {
+	var first []int // with count: the row that reports a query's size
+	if count {
+		first = make([]int, len(fetched))
 		for i := len(of) - 1; i >= 0; i-- {
 			first[of[i]] = i
 		}
 	}
-	out, err := rs.fill(n, n.outTable(in), in.Len(), func(dst *Table, lo, hi int) error {
+	return rs.fill(op, n.outTable(in), in.Len(), func(dst *Table, lo, hi int) error {
 		rows := hi - lo
 		if !n.Negated {
 			rows = 0
@@ -249,6 +259,7 @@ func (n *QueryNode) extractRows(rs *runState, in *Table, of []int, fetched [][]*
 		}
 		dst.reserve(rows)
 		row := &rowCursor{t: in}
+		answers := 0
 		for i := lo; i < hi; i++ {
 			row.i = i
 			size, err := len(fetched[of[i]]), error(nil)
@@ -261,15 +272,12 @@ func (n *QueryNode) extractRows(rs *runState, in *Table, of []int, fetched [][]*
 				return err
 			}
 			if first != nil && first[of[i]] == i {
-				sizes[of[i]] = size
+				answers += size
 			}
 		}
+		op.answers.Add(int64(answers))
 		return nil
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, sizes, nil
 }
 
 // extractOnce is extract over candidates instead of an answer, with the
@@ -378,16 +386,14 @@ func varUse(p *msl.ObjectPattern, v string) int {
 // Executor.Parallelism; answers[i] answers qs[i] (with ls, holds its
 // candidates), so exchange completion order never affects the output
 // (extraction replays the input-row order).
-func (n *QueryNode) fetchBatches(rs *runState, op *opRecord, src wrapper.Source, ls wrapper.LocalScanner, qs []*msl.Rule) ([][]*oem.Object, error) {
+func (n *QueryNode) fetchBatches(rs *runState, op *opRecord, src wrapper.Source, ls wrapper.LocalScanner, qs []*msl.Rule, answers [][]*oem.Object) error {
 	size := 1
 	if wrapper.Batches(src) {
 		size = rs.ex.queryBatch()
 	}
-	answers := make([][]*oem.Object, len(qs))
-	err := rs.runMorselsWidth(n, len(qs), size, func(_, lo, hi int) error {
+	return rs.runMorselsWidth(op, len(qs), size, func(_, lo, hi int) error {
 		return n.fetchChunk(rs, op, src, ls, qs[lo:hi], answers[lo:hi])
 	})
-	return answers, err
 }
 
 // fetchChunk performs one exchange, answering qs[i] into out[i]: a lone
@@ -466,14 +472,14 @@ func (n *ExtPredNode) Kids() []Node { return []Node{n.Child} }
 // OutVars implements Node.
 func (n *ExtPredNode) OutVars() []string { return n.Needed }
 
-func (n *ExtPredNode) run(rs *runState, kids []*Table) (*Table, error) {
+func (n *ExtPredNode) run(rs *runState, op *opRecord, kids []*Table) (*Table, error) {
 	// Predicate evaluation is per-tuple pure CPU, so rows fan out
 	// morsel-parallel. Each output row is the input row, read in place,
 	// plus the free-variable bindings the predicate adds.
 	in := kids[0]
 	out := outTable(n.Needed, in, n.Pred)
 	inCols := in.colIndexes(out.vars)
-	return rs.fill(n, out, in.Len(), func(dst *Table, lo, hi int) error {
+	return rs.fill(op, out, in.Len(), func(dst *Table, lo, hi int) error {
 		dst.reserve(hi - lo)
 		row := &rowCursor{t: in}
 		for i := lo; i < hi; i++ {
@@ -605,7 +611,7 @@ func joinEmit(dst, left, right *Table, li, ri int, outs, overlap []joinCol) {
 	dst.n++
 }
 
-func (n *JoinNode) run(rs *runState, kids []*Table) (*Table, error) {
+func (n *JoinNode) run(rs *runState, op *opRecord, kids []*Table) (*Table, error) {
 	left, right := kids[0], kids[1]
 	outVars, outs, overlap := n.joinCols(left, right)
 	out := newProjTable(outVars)
@@ -614,7 +620,7 @@ func (n *JoinNode) run(rs *runState, kids []*Table) (*Table, error) {
 		// A cross product multiplies row counts: morsel over the outer
 		// side, and with a big inner side poll cancellation per outer row
 		// — the product of two modest inputs can already be huge.
-		return rs.fill(n, out, left.Len(), func(dst *Table, lo, hi int) error {
+		return rs.fill(op, out, left.Len(), func(dst *Table, lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				if right.Len() >= cancelCheckStride {
 					if err := rs.cancelled(); err != nil {
@@ -647,7 +653,7 @@ func (n *JoinNode) run(rs *runState, kids []*Table) (*Table, error) {
 		sharedP[i] = probe.ColIndex(v)
 	}
 	bh := make([]uint64, hashed.Len())
-	if err := rs.runMorsels(n, hashed.Len(), func(_, lo, hi int) error {
+	if err := rs.runMorsels(op, hashed.Len(), func(_, lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			bh[i] = hashed.hashRow(i, sharedH)
 		}
@@ -660,7 +666,7 @@ func (n *JoinNode) run(rs *runState, kids []*Table) (*Table, error) {
 		nparts = 1 // a tiny build side is not worth nparts scans
 	}
 	parts := make([]map[uint64][]int32, nparts)
-	if err := rs.runMorselsWidth(n, nparts, 1, func(p, _, _ int) error {
+	if err := rs.runMorselsWidth(op, nparts, 1, func(p, _, _ int) error {
 		m := make(map[uint64][]int32, hashed.Len()/nparts+1)
 		for i, h := range bh {
 			if h%uint64(nparts) == uint64(p) {
@@ -672,7 +678,7 @@ func (n *JoinNode) run(rs *runState, kids []*Table) (*Table, error) {
 	}); err != nil {
 		return nil, err
 	}
-	return rs.fill(n, out, probe.Len(), func(dst *Table, lo, hi int) error {
+	return rs.fill(op, out, probe.Len(), func(dst *Table, lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			h := probe.hashRow(i, sharedP)
 			for _, bi := range parts[h%uint64(nparts)][h] {
@@ -709,7 +715,7 @@ func (n *DedupNode) Kids() []Node { return []Node{n.Child} }
 // OutVars implements Node.
 func (n *DedupNode) OutVars() []string { return n.Vars }
 
-func (n *DedupNode) run(rs *runState, kids []*Table) (*Table, error) {
+func (n *DedupNode) run(rs *runState, op *opRecord, kids []*Table) (*Table, error) {
 	// Row hashes are computed morsel-parallel; the scan that keeps first
 	// occurrences is inherently sequential but does only bucket lookups
 	// and (rarely) per-variable equality checks against kept rows. first
@@ -718,7 +724,7 @@ func (n *DedupNode) run(rs *runState, kids []*Table) (*Table, error) {
 	in := kids[0]
 	cols := in.colIndexes(n.Vars)
 	hashes := make([]uint64, in.Len())
-	if err := rs.runMorsels(n, in.Len(), func(_, lo, hi int) error {
+	if err := rs.runMorsels(op, in.Len(), func(_, lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			hashes[i] = in.hashRow(i, cols)
 		}
@@ -798,7 +804,7 @@ func (n *ConstructNode) Kids() []Node { return []Node{n.Child} }
 // OutVars implements Node.
 func (n *ConstructNode) OutVars() []string { return []string{ResultVar} }
 
-func (n *ConstructNode) run(rs *runState, kids []*Table) (*Table, error) {
+func (n *ConstructNode) run(rs *runState, _ *opRecord, kids []*Table) (*Table, error) {
 	// Construction stays serial: result oids come from the shared IDGen,
 	// and serial assignment keeps them deterministic for a given plan.
 	in := kids[0]
@@ -846,7 +852,7 @@ func (n *UnionNode) OutVars() []string {
 	return n.Inputs[0].OutVars()
 }
 
-func (n *UnionNode) run(rs *runState, kids []*Table) (*Table, error) {
+func (n *UnionNode) run(rs *runState, _ *opRecord, kids []*Table) (*Table, error) {
 	out := newDynTable(n.OutVars())
 	for _, t := range kids {
 		out.appendTable(t)

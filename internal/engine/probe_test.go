@@ -71,8 +71,9 @@ func TestProbeDedupKeysOnTheTuple(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex.Extents = Extents{"echo": extent}
-	qn := node()
-	for _, n := range []Node{&qn, &MatScanNode{QueryNode: node(), View: "v"}} {
+	qn, scan := node(), node()
+	scan.View = "v"
+	for _, n := range []Node{&qn, &scan} {
 		out, err := ex.Run(n)
 		if err != nil {
 			t.Fatal(err)

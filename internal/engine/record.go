@@ -18,8 +18,8 @@ import (
 // through it. Workers write to it only with atomic adds: no lock, map or
 // string per exchange or probe. The answer cache reports its lookups to
 // the slot of the operator that made them through the exchange context
-// (trace.CacheEvent). A MatScanNode's slot never sees traffic: the
-// zero-round-trip property of a materialized view.
+// (trace.CacheEvent). An extent scan has no source slot and its slot
+// never sees traffic: the zero-round-trip property of a materialized view.
 
 // runRecord is one run's observations.
 type runRecord struct {
@@ -33,9 +33,9 @@ type runRecord struct {
 type opRecord struct {
 	node Node
 	end  int
-	// q is the node when it queries a source, and src that source's slot.
-	// ctx is the context q's exchanges start from: it carries the slot, so
-	// the cache's lookups land here.
+	// q is the node when it is a query node, and src its source's slot
+	// (-1 for an extent scan). ctx is the context q's exchanges start
+	// from: it carries the slot, so the cache's lookups land here.
 	q   *QueryNode
 	src int
 	ctx context.Context
@@ -69,8 +69,11 @@ func (rs *runState) initRecord(root Node, qt *trace.QueryTrace) {
 		op := &r.ops[i]
 		op.node, op.end, op.src = l.node, l.end, -1
 		if q, ok := l.node.(*QueryNode); ok {
-			op.q, op.src = q, r.source(q.Source)
-			op.ctx = trace.WithCacheObserver(rs.ctx, op)
+			op.q = q
+			if q.View == "" {
+				op.src = r.source(q.Source)
+				op.ctx = trace.WithCacheObserver(rs.ctx, op)
+			}
 		}
 	}
 	if qt == nil {
@@ -82,17 +85,13 @@ func (rs *runState) initRecord(root Node, qt *trace.QueryTrace) {
 	for i := range r.ops {
 		op := &r.ops[i]
 		var source, shape string
-		if op.q != nil {
+		if op.src >= 0 {
 			source, shape = op.q.Source, op.q.Shape
 		}
 		op.ts = qt.NewNode(op.node.Label(), source, op.node.Detail())
 		op.ts.SetShape(shape)
-		est := op.q
-		if ms, ok := op.node.(*MatScanNode); ok {
-			est = &ms.QueryNode
-		}
-		if est != nil && est.HasEst {
-			op.ts.SetEstimate(est.EstRows)
+		if op.q != nil && op.q.HasEst {
+			op.ts.SetEstimate(op.q.EstRows)
 		}
 	}
 	for i := range r.ops {
@@ -161,16 +160,6 @@ func (r *runRecord) source(name string) int {
 	}
 	r.sources = append(r.sources, srcRecord{name: name})
 	return len(r.sources) - 1
-}
-
-// op returns n's slot (its first, should the graph share n).
-func (r *runRecord) op(n Node) *opRecord {
-	for i := range r.ops {
-		if r.ops[i].node == n {
-			return &r.ops[i]
-		}
-	}
-	return nil
 }
 
 // CacheAccess implements trace.CacheObserver: one answer-cache lookup
@@ -242,7 +231,7 @@ func (rs *runState) publish() {
 		}
 	}
 	for i := range r.ops {
-		if op := &r.ops[i]; op.ts != nil && op.q != nil {
+		if op := &r.ops[i]; op.ts != nil && op.src >= 0 {
 			op.ts.AddTraffic(op.exchanges.Load(), op.queries.Load(), op.cacheHits.Load(), op.cacheMisses.Load())
 		}
 	}

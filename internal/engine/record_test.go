@@ -169,17 +169,18 @@ func TestRecordSlotsFitGraph(t *testing.T) {
 	}
 }
 
-// TestUnboundExtentFails: a MatScanNode resolves its extent per run, and
+// TestUnboundExtentFails: an extent scan resolves its extent per run, and
 // a run that binds nothing under its name fails instead of answering
 // empty; an empty extent that is bound answers empty.
 func TestUnboundExtentFails(t *testing.T) {
 	conj := pc(t, `<r V>@view`)
-	scan := &MatScanNode{QueryNode: QueryNode{
+	scan := &QueryNode{
 		Source:  "view",
+		View:    "view",
 		Send:    msl.MustParseRule(`O :- O:<r V>@view.`),
 		Extract: conj.Pattern,
 		Needed:  []string{"V"},
-	}, View: "view"}
+	}
 	for _, ex := range []*Executor{{}, {Extents: Extents{"other": nil}}} {
 		_, err := ex.RunResult(context.Background(), scan)
 		if err == nil || !strings.Contains(err.Error(), `extent "view" is not bound`) {

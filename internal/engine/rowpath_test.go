@@ -208,9 +208,10 @@ func TestExtractionMatchesTopsProject(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkRows(t, what+" per row", got, reference(in.Envs()))
-			scan := &MatScanNode{QueryNode: node(&tableNode{in}), View: "v"}
+			scan := node(&tableNode{in})
+			scan.View = "v"
 			ex.Extents = Extents{"whois": objs}
-			if got, err = ex.Run(scan); err != nil {
+			if got, err = ex.Run(&scan); err != nil {
 				t.Fatal(err)
 			}
 			checkRows(t, what+" matscan", got, reference(in.Envs()))

@@ -157,7 +157,8 @@ func (s *Stats) CacheHitRate(source string) (float64, bool) {
 
 // learn folds one run's record into the store under one lock: each query
 // shape's mean answer size, under the node's condition-aware shape key
-// (a node without one teaches nothing); each parameterized, non-negated
+// (a node without one teaches nothing, nor does an extent scan, which
+// has no source slot); each parameterized, non-negated
 // node's output rows per input row — the join selectivity the adaptive
 // order reads — under its shape key with an "|out" suffix; each source's
 // mean exchange latency and its answer-cache lookups. Every key moves
@@ -181,7 +182,7 @@ func (s *Stats) learn(r *runRecord) {
 	}
 	for i := range r.ops {
 		op := &r.ops[i]
-		if op.q == nil {
+		if op.src < 0 {
 			continue
 		}
 		if n := op.queries.Load(); n > 0 && op.q.Shape != "" {

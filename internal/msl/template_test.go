@@ -88,14 +88,7 @@ func corpusSends(t *testing.T) []*engine.QueryNode {
 	var out []*engine.QueryNode
 	var walk func(n engine.Node)
 	walk = func(n engine.Node) {
-		var qn *engine.QueryNode
-		switch x := n.(type) {
-		case *engine.QueryNode:
-			qn = x
-		case *engine.MatScanNode:
-			qn = &x.QueryNode
-		}
-		if qn != nil && len(qn.ParamVars) > 0 {
+		if qn, ok := n.(*engine.QueryNode); ok && len(qn.ParamVars) > 0 {
 			key := qn.Send.String() + strings.Join(qn.ParamVars, ",")
 			if !seen[key] {
 				seen[key] = true

@@ -21,8 +21,9 @@ const DriftRatio = 4.0
 // A node drifted when the store now holds a shape-keyed estimate that
 // diverges from the node's compiled-in estimate by more than ratio
 // (either way), or when the node was compiled with no estimate at all
-// and the store has since learned a materially non-trivial one. ratio
-// <= 0 means DriftRatio.
+// and the store has since learned a materially non-trivial one. Extent
+// scans are skipped: a delta plan's names the mutated source, whose
+// live estimates say nothing of the extent. ratio <= 0 means DriftRatio.
 func Drifted(c *Compiled, stats *engine.Stats, ratio float64) bool {
 	if c == nil || c.Plan == nil || stats == nil {
 		return false
@@ -39,7 +40,7 @@ func Drifted(c *Compiled, stats *engine.Stats, ratio float64) bool {
 			return
 		}
 		qn, ok := n.(*engine.QueryNode)
-		if !ok || qn.Shape == "" {
+		if !ok || qn.Shape == "" || qn.View != "" {
 			return
 		}
 		est, known := stats.Estimate(qn.Source, qn.Shape)

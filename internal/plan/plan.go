@@ -119,9 +119,9 @@ func New(sources *wrapper.Registry, extfns *extfn.Table, stats *engine.Stats, op
 }
 
 // Over makes the planner treat the named sources as in-memory extents:
-// a conjunct on one becomes a MatScanNode, evaluated with every query
-// capability and no exchange. An extent shadows a registered source of
-// the same name.
+// a conjunct on one becomes an extent scan (engine.QueryNode.View),
+// evaluated with every query capability and no exchange. An extent
+// shadows a registered source of the same name.
 func (p *Planner) Over(extents map[string]Extent) *Planner {
 	p.extents = extents
 	return p

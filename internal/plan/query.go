@@ -13,8 +13,8 @@ import (
 // evaluate and parameterizing on the variables bound so far), while the
 // extraction step always re-matches the full original pattern, keeping the
 // plan correct whatever was pushed. A conjunct on an in-memory extent
-// (see Over) becomes a MatScanNode: the same query, scanned in place with
-// no exchange.
+// (see Over) becomes an extent scan (QueryNode.View): the same query,
+// scanned in place with no exchange.
 func (p *Planner) queryNode(pc *msl.PatternConjunct, child engine.Node, bound map[string]bool, needed map[string]bool) (engine.Node, error) {
 	sent, paramVars, err := p.sendPattern(pc, bound, child != nil)
 	if err != nil {
@@ -66,10 +66,10 @@ func (p *Planner) queryNode(pc *msl.PatternConjunct, child engine.Node, bound ma
 		node.EstRows, node.HasEst = p.stats.Estimate(pc.Source, node.Shape)
 	}
 	if ext, ok := p.extents[pc.Source]; ok {
+		node.View = ext.View
 		if !node.HasEst {
 			node.EstRows, node.HasEst = float64(ext.Size), true
 		}
-		return &engine.MatScanNode{QueryNode: *node, View: ext.View}, nil
 	}
 	return node, nil
 }

@@ -317,6 +317,25 @@ func (l *Limited) QueryContext(ctx context.Context, q *msl.Rule) ([]*oem.Object,
 	return QueryContext(ctx, l.Inner, q)
 }
 
+// QueryBatch implements BatchQuerier (see QueryBatchContext).
+func (l *Limited) QueryBatch(qs []*msl.Rule) ([][]*oem.Object, error) {
+	return l.QueryBatchContext(context.Background(), qs)
+}
+
+// QueryBatchContext implements ContextBatchQuerier, so a batching inner
+// source keeps batching behind Limited: every query's capabilities are
+// checked, the first query that fails them rejects the batch as a
+// *QueryError with its index, and a batch that passes is forwarded to
+// the inner source as one.
+func (l *Limited) QueryBatchContext(ctx context.Context, qs []*msl.Rule) ([][]*oem.Object, error) {
+	for i, q := range qs {
+		if err := CheckCapabilities(q, l.Caps, l.Name()); err != nil {
+			return nil, &QueryError{Source: l.Name(), Index: i, Err: err}
+		}
+	}
+	return QueryBatchContext(ctx, l.Inner, qs)
+}
+
 // CountLabel implements Counter by forwarding to the inner source when it
 // supports counting.
 func (l *Limited) CountLabel(label string) (int, bool) {

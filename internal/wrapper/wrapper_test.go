@@ -205,6 +205,21 @@ func TestLimitedSource(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("limited source returned %d objects", len(got))
 	}
+	// A batch is checked query by query: one unsupported query rejects it
+	// with its index before anything reaches the inner source, and a
+	// supported batch is answered in order.
+	_, err = lim.QueryBatch([]*msl.Rule{free, q})
+	var qe *QueryError
+	if !errors.As(err, &qe) || qe.Index != 1 || qe.Source != "whois" || !errors.As(err, &ue) {
+		t.Fatalf("batch with an unsupported second query: %v, want *QueryError index 1 over an UnsupportedError", err)
+	}
+	if len(inner.queries) != 1 {
+		t.Fatalf("the inner source saw %d queries after a rejected batch, want the 1 before it", len(inner.queries))
+	}
+	answers, err := lim.QueryBatch([]*msl.Rule{free, free})
+	if err != nil || len(answers) != 2 || len(answers[0]) != 2 || len(answers[1]) != 2 {
+		t.Fatalf("supported batch: %d answers, %v", len(answers), err)
+	}
 }
 
 func TestEvalObjVar(t *testing.T) {

@@ -2,9 +2,9 @@ package medmaker
 
 // Tests and a benchmark for the local scan: an in-process source hands
 // the engine the candidates of each sent query, and the engine's
-// extraction is the only matcher. Hiding the capability — behind
-// wrapper.Limited, or behind mslOnly below — puts the same source back on
-// the MSL path, which is the reference.
+// extraction is the only matcher. Hiding the capability behind
+// wrapper.Limited puts the same source back on the MSL path, which is
+// the reference.
 
 import (
 	"context"
@@ -12,28 +12,12 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"medmaker/internal/wrapper"
 )
 
 const scanMS1 = `P :- P:<cs_person {<name N>}>@med.`
 
-// mslSource is what the bundled in-process sources implement besides the
-// local scan.
-type mslSource interface {
-	Source
-	wrapper.ContextSource
-	wrapper.BatchQuerier
-	wrapper.ContextBatchQuerier
-	wrapper.Counter
-}
-
-// mslOnly hides a source's local scan and nothing else, so the engine
-// sends it MSL and batches as it would the source itself.
-type mslOnly struct{ mslSource }
-
 // limited puts a source behind wrapper.Limited with its own
-// capabilities: the MSL path, one query per exchange.
+// capabilities: the MSL path, batched as the source itself batches.
 func limited(s Source) Source { return &LimitedSource{Inner: s, Caps: s.Capabilities()} }
 
 // localScanMediator is MS1 over in-process cs and whois at the given
@@ -59,8 +43,7 @@ func localScanMediator(tb testing.TB, persons, batch int, hide func(Source) Sour
 // node's calls, rows, exchanges, queries, morsels and estimates in the
 // trace, what the statistics store learned (the answer sizes) — and
 // Explain prints the same warm plan. The MSL reference is each source
-// behind wrapper.Limited at QueryBatch 1 (Limited answers one query per
-// exchange) and behind mslOnly at the default batch.
+// behind wrapper.Limited, at QueryBatch 1 and at the default batch.
 func TestLocalScanAccounting(t *testing.T) {
 	for _, mode := range []struct {
 		name  string
@@ -68,7 +51,7 @@ func TestLocalScanAccounting(t *testing.T) {
 		hide  func(Source) Source
 	}{
 		{"limited/batch=1", 1, limited},
-		{"msl/batch=16", 0, func(s Source) Source { return mslOnly{s.(mslSource)} }},
+		{"msl/batch=16", 0, limited},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			traffic := func(hide func(Source) Source) string {
@@ -111,6 +94,25 @@ func TestLocalScanAccounting(t *testing.T) {
 				t.Errorf("local scan recorded\n%s\nthe MSL path recorded\n%s", local, msl)
 			}
 		})
+	}
+}
+
+// TestLimitedKeepsBatching: wrapper.Limited forwards a batch to a
+// source that batches, so at the default QueryBatch a warm MS1 scan
+// makes as many cs exchanges behind it as over the bare source, and
+// fewer than at QueryBatch 1, where each probe is an exchange.
+func TestLimitedKeepsBatching(t *testing.T) {
+	scanExchanges := func(batch int, hide func(Source) Source) int64 {
+		med, _ := localScanMediator(t, 200, batch, hide)
+		mustQuery(t, med, scanMS1, 1)
+		cs0 := sourceExchanges("cs")
+		mustQuery(t, med, scanMS1, 1)
+		return sourceExchanges("cs") - cs0
+	}
+	bare, behind, probes := scanExchanges(0, nil), scanExchanges(0, limited), scanExchanges(1, limited)
+	if behind != bare || bare <= 0 || bare >= probes {
+		t.Errorf("a warm scan makes %d cs exchanges behind Limited and %d over the bare source at the default batch, %d at batch 1; want the first two equal and below the third",
+			behind, bare, probes)
 	}
 }
 

@@ -17,7 +17,8 @@ import (
 
 // TestExplainShowsMatViewScan: Explain prints the scan of the extent
 // that Query serves a covered query from, and stays static: no exchange,
-// no extent built, no matview counter moved — cold or warm.
+// no extent built, no matview counter moved — cold or warm. ExplainAnalyze
+// runs that scan and shows its morsel and worker counts.
 func TestExplainShowsMatViewScan(t *testing.T) {
 	cs, whois := newPaperSources(t)
 	med, err := New(Config{Name: "med", Spec: specMS1, Sources: []Source{cs, whois},
@@ -48,6 +49,14 @@ func TestExplainShowsMatViewScan(t *testing.T) {
 		}
 		if !strings.Contains(analyzed, "matscan(cs_person)") {
 			t.Errorf("%s: ExplainAnalyze did not run the scan Explain shows:\n%s", pass, analyzed)
+		}
+		// The scan's statistics line, below its label, carries the morsel
+		// fan-out its extraction recorded into its own slot.
+		lines := strings.Split(analyzed, "\n")
+		for i, line := range lines[:len(lines)-1] {
+			if strings.Contains(line, "matscan(cs_person)") && !strings.Contains(lines[i+1], "morsels=") {
+				t.Errorf("%s: the scan's ExplainAnalyze line lacks its morsel counts:\n%s", pass, analyzed)
+			}
 		}
 	}
 }
@@ -112,6 +121,48 @@ func TestDeltaPlanCompilesOnce(t *testing.T) {
 	if len(want) != 2+n || !slices.Equal(got, want) {
 		t.Errorf("maintained extent differs from a rebuild (%d vs %d objects, want %d):\n%q\n%q",
 			len(got), len(want), 2+n, got, want)
+	}
+}
+
+// TestDeltaPlanIgnoresLiveDrift: the cached delta plan of a whois insert
+// scans the inserted objects under whois's name and shape, so whois's
+// live statistics, however far they move, must never mark it drifted:
+// they say nothing of the extent. The next insert reuses the plan with
+// no drift replan.
+func TestDeltaPlanIgnoresLiveDrift(t *testing.T) {
+	_, store, cs, whois := mutablePaperSources(t)
+	med, err := New(Config{Name: "med", Spec: specMS1, Sources: []Source{cs, whois},
+		Materialize: &MatViewOptions{Views: []MatView{{Label: "cs_person"}}},
+		PlanCache:   &PlanCacheOptions{Metrics: metrics.NewRegistry()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := med.Refresh(context.Background(), "cs_person"); err != nil {
+		t.Fatal(err)
+	}
+	insert := func(i int) {
+		store.MustAdd(Record{Kind: "person", Fields: []RecordField{
+			{Name: "name", Value: fmt.Sprintf("Ann Drift%d", i)},
+			{Name: "dept", Value: "CS"},
+			{Name: "relation", Value: "employee"},
+		}})
+	}
+	insert(0) // compiles the whois delta plan, its scan estimated from whois's shape
+	key := leafShape(t, med, `P :- P:<cs_person {<name N>}>@med.`, "whois")
+	stats := med.QueryStats()
+	for i := 0; i < 8; i++ {
+		stats.RecordValue("whois", key, 1e6) // live whois answers grow far past DriftRatio
+	}
+	p0 := med.PlanCacheStats()
+	insert(1)
+	med.WaitReplans()
+	p1 := med.PlanCacheStats()
+	if p1.Hits != p0.Hits+1 || p1.Misses != p0.Misses || p1.Refreshed != p0.Refreshed {
+		t.Errorf("an insert after whois@%s moved to %.0f: %d hits, %d misses, %d drift replans; want 1, 0 and 0",
+			key, 1e6, p1.Hits-p0.Hits, p1.Misses-p0.Misses, p1.Refreshed-p0.Refreshed)
+	}
+	if s := med.MatViewStats(); s.Deltas != 2 || s.DeltaFallbacks != 0 {
+		t.Errorf("matview stats after 2 inserts = %+v, want 2 deltas and no fallback", s)
 	}
 }
 
